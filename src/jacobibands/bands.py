@@ -15,7 +15,6 @@ exactly as well.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -431,9 +430,3 @@ def bands_to_csv(bs: BandStructure, target) -> None:
     finally:
         if own:
             fh.close()
-
-
-def bands_csv_text(bs: BandStructure) -> str:
-    buf = io.StringIO()
-    bands_to_csv(bs, buf)
-    return buf.getvalue()

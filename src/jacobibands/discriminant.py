@@ -6,10 +6,18 @@ redundant forms: expanded monomial coefficients (needed for Sturm-based
 root isolation) and a numerically stable point evaluation through the
 2x2 matrix product. An exact rational evaluator backs up the float path
 where cancellation would otherwise dominate.
+
+The exact evaluator works in integers. Every float coefficient is a dyadic
+rational, so one operator converts once (and is cached) to integer
+numerators over a common denominator. A point t = T/D joins that
+denominator through an lcm, and the cleared-denominator transfer product
+then runs in plain int arithmetic: no Fraction and no gcd inside the
+loop, one Fraction built for the result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -130,12 +138,24 @@ def eval_discriminant_bounded(c: PeriodicCoefficients, t: float) -> tuple[float,
     return value, e00 + e11 + _U * abs(value)
 
 
+@functools.lru_cache(maxsize=4)
+def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(den, A, B) with a = A / den and b = B / den exactly.
+
+    den is the lcm of the coefficients' denominators, a power of two for
+    float entries. The cache is bounded: the exact callers work on one
+    operator at a time, so a few entries suffice to convert each once.
+    """
+    ratios = [x.as_integer_ratio() for x in c.a + c.b]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [n * (den // d) for n, d in ratios]
+    return den, tuple(nums[: c.p]), tuple(nums[c.p :])
+
+
 def offdiag_product_exact(c: PeriodicCoefficients) -> Fraction:
     """Exact product of the off-diagonal floats as a rational."""
-    out = Fraction(1)
-    for x in c.a:
-        out *= Fraction(x)
-    return out
+    den, a, _ = _integer_form(c)
+    return Fraction(math.prod(a), den**c.p)
 
 
 def scaled_trace_exact(c: PeriodicCoefficients, t) -> Fraction:
@@ -143,30 +163,40 @@ def scaled_trace_exact(c: PeriodicCoefficients, t) -> Fraction:
 
     Each step (1/a_n) * [[t - b_n, -a_{n-1}], [a_n, 0]] contributes its
     1/a_n to a common prefactor, so this trace equals the discriminant
-    times prod(a); all intermediates are dyadic rationals and stay cheap.
+    times prod(a). With t = T/D and the operator's integer form over den,
+    every step times L = lcm(den, D) is an integer matrix, so the product
+    is an integer matrix over L^p. t may be a float, an int or any
+    rational.
     """
+    den, a_num, b_num = _integer_form(c)
     t = Fraction(t)
-    a = [Fraction(x) for x in c.a]
-    b = [Fraction(x) for x in c.b]
-    m00, m01, m10, m11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    scale = math.lcm(den, t.denominator)
+    k = scale // den
+    a_num = [x * k for x in a_num]
+    b_num = [x * k for x in b_num]
+    tn = t.numerator * (scale // t.denominator)
+    m00, m01, m10, m11 = 1, 0, 0, 1
     for n in range(c.p):
-        s00 = t - b[n]
-        s01 = -a[n - 1]
-        an = a[n]
+        s00 = tn - b_num[n]
+        s01 = -a_num[n - 1]
+        an = a_num[n]
         m00, m01, m10, m11 = (
             s00 * m00 + s01 * m10,
             s00 * m01 + s01 * m11,
             an * m00,
             an * m01,
         )
-    return m00 + m11
+    return Fraction(m00 + m11, scale**c.p)
 
 
 def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
     """Exact rational discriminant value at a rational point t.
 
     Floats convert to exact dyadic rationals, so this is an arbitrary-
-    precision oracle for the float paths. Cost grows mildly with p.
+    precision oracle for the float paths. The work is p steps of integer
+    multiplication on numbers of about p * log2(lcm of denominators) bits,
+    plus one gcd to reduce the result and one division by the exact
+    off-diagonal product.
     """
     return scaled_trace_exact(c, t) / offdiag_product_exact(c)
 

@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from .bands import DEFAULT_CLOSED_TOL, BandStructure, band_structure
 from .coefficients import PeriodicCoefficients, new_periodic, scalar_summary
 from .discriminant import build_discriminant
-from .errors import ConfigInvalid, JacobiBandsError
+from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiBandsError
 from .floquet import band_edges_oracle
 from .potential import PotentialReport, potential_report
 
@@ -170,6 +170,16 @@ def run_trial(
 
     try:
         pot = potential_report(data, bs)
+    except CapacityMismatch as exc:
+        report.families["capacity"] = FamilyResult(False, str(exc))
+        report.families["alternation"] = FamilyResult(False, "skipped: capacity failed")
+    except AlternationFailure as exc:
+        # potential_report accepts the capacity (to a tighter tolerance than
+        # CAPACITY_RTOL) before it builds the alternation set, so capacity
+        # passed; its relative error is not returned and stays nan.
+        report.families["capacity"] = FamilyResult(True)
+        report.families["alternation"] = FamilyResult(False, str(exc))
+    else:
         report.potential = pot
         rel = abs(pot.cap_spectrum - summary.geom_mean_a) / summary.geom_mean_a
         report.capacity_rel_error = rel
@@ -187,9 +197,6 @@ def run_trial(
             report.families["alternation"] = FamilyResult(False, f"bad weights {pot.band_measures}")
         else:
             report.families["alternation"] = FamilyResult(True)
-    except JacobiBandsError as exc:
-        report.families["capacity"] = FamilyResult(False, str(exc))
-        report.families["alternation"] = FamilyResult(False, f"skipped: {exc}")
 
     try:
         rep = bounds_mod.evaluate_all_bounds(c, bs, summary, d_lower=d_lower, d_upper=d_upper)

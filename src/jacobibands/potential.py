@@ -81,37 +81,47 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     denominator trace, so the target scales by the exact off-diagonal
     product. Returns the float evaluation when no enclosing sign change
     exists (touching edge: the value there is fine already).
+
+    Every point is dyadic, kept as an integer over a power of two, and the
+    residual trace - target * prod(a) is compared through integer cross
+    products, so only the evaluator itself builds Fractions.
     """
     c = d.coeffs
     ap = offdiag_product_exact(c)
-    tgt = Fraction(target) * ap
-    budget = abs(ap) * Fraction(2, 10**12)
-    h = Fraction(max(1e-13 * max(1.0, abs(x)), 1e-15))
-    fx = Fraction(x)
+    ap_n, ap_d = ap.numerator, ap.denominator
+    tgt_n = target * ap_n
+
+    def residual(num: int, den: int) -> tuple[int, Fraction]:
+        """Sign-exact numerator of trace(num/den) - target * prod(a), and the trace."""
+        s = scaled_trace_exact(c, Fraction(num, den))
+        return s.numerator * ap_d - tgt_n * s.denominator, s
+
+    xn, xd = x.as_integer_ratio()
+    hn, hd = max(1e-13 * max(1.0, abs(x)), 1e-15).as_integer_ratio()
+    den = math.lcm(xd, hd)
+    xn *= den // xd
+    hn *= den // hd
     for _ in range(30):
-        lo, hi = fx - h, fx + h
-        fl = scaled_trace_exact(c, lo) - tgt
-        fh = scaled_trace_exact(c, hi) - tgt
-        if fl == 0:
-            return abs(target)
-        if fh == 0:
+        lo, hi = xn - hn, xn + hn
+        fl, _ = residual(lo, den)
+        fh, _ = residual(hi, den)
+        if fl == 0 or fh == 0:
             return abs(target)
         if (fl > 0) != (fh > 0):
-            value = None
             for _ in range(400):
-                mid = (lo + hi) / 2
-                fm = scaled_trace_exact(c, mid) - tgt
-                if abs(fm) <= budget:
-                    value = abs(fm + tgt) / ap
+                # (lo + hi) / 2 over den is (lo + hi) over 2 * den
+                mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+                fm, s = residual(mid, den)
+                if abs(fm) * 10**12 <= 2 * ap_n * s.denominator:
                     break
                 if (fm > 0) == (fl > 0):
                     lo, fl = mid, fm
                 else:
                     hi = mid
-            if value is None:
-                value = abs(scaled_trace_exact(c, (lo + hi) / 2)) / ap
-            return float(value)
-        h *= 8
+            else:
+                _, s = residual(lo + hi, 2 * den)
+            return abs(s.numerator) * ap_d / (s.denominator * ap_n)
+        hn *= 8
     value, _ = eval_discriminant_bounded(c, x)
     return abs(value)
 

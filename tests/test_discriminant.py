@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -183,3 +184,64 @@ def test_scale_covariance_on_grid():
     d1 = build_discriminant(c.scaled(factor))
     for t in [-2.0, -0.5, 0.0, 1.0, 3.0]:
         assert d1.delta(t * factor) == pytest.approx(d0.delta(t), abs=1e-10)
+
+
+def fraction_scaled_trace(c, t):
+    """Cleared-denominator transfer product in Fraction arithmetic: the oracle."""
+    t = Fraction(t)
+    a = [Fraction(x) for x in c.a]
+    b = [Fraction(x) for x in c.b]
+    m00, m01, m10, m11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for n in range(c.p):
+        s00 = t - b[n]
+        s01 = -a[n - 1]
+        an = a[n]
+        m00, m01, m10, m11 = (
+            s00 * m00 + s01 * m10,
+            s00 * m01 + s01 * m11,
+            an * m00,
+            an * m01,
+        )
+    return m00 + m11
+
+
+def refiner_midpoints(x, depth):
+    """Every 50th midpoint of `depth` bisection steps in a 2e-13 bracket
+    around x: dyadic points down to 2^-depth, as the exact refiners take."""
+    lo, hi = Fraction(x) - Fraction(1e-13), Fraction(x) + Fraction(1e-13)
+    out = []
+    for k in range(1, depth + 1):
+        mid = (lo + hi) / 2
+        if k % 50 == 0:
+            out.append(mid)
+        if k % 3:
+            lo = mid
+        else:
+            hi = mid
+    return out
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    rng = random.Random(2024)
+    operators = [
+        new_periodic(
+            [math.exp(rng.uniform(-2.3, 2.3)) for _ in range(p)],
+            [rng.uniform(-5.0, 5.0) for _ in range(p)],
+        )
+        for p in (1, 2, 3, 10, 40)
+    ]
+    operators.append(new_periodic([5e-324, 1e300, 1.0], [0.0, -1.5, 2.0]))
+    operators.append(new_periodic([1e300, 5e-324], [1e-300, -3.0]))
+    points = {}
+    for c in operators:
+        x = rng.uniform(-4.0, 4.0)
+        points[c] = [x, 0.5, -3, Fraction(1, 3), Fraction(-7, 3), *refiner_midpoints(x, 400)]
+    assert points[operators[0]][-1].denominator >= 2**400
+    # Round-robin over more operators than the conversion cache holds, so a
+    # stale or evicted entry would show as a wrong value.
+    for k in range(len(points[operators[0]])):
+        for c in operators:
+            t = points[c][k]
+            assert scaled_trace_exact(c, t) == fraction_scaled_trace(c, t), (c.p, t)
+    for c in operators:
+        assert offdiag_product_exact(c) == math.prod(Fraction(x) for x in c.a)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from jacobibands import ConfigInvalid, new_periodic
+from jacobibands import CapacityMismatch, ConfigInvalid, ensemble, new_periodic
 from jacobibands.bounds import CONDITIONAL_NAMES, UNCONDITIONAL_NAMES
 from jacobibands.ensemble import (
     EnsembleConfig,
@@ -94,6 +94,29 @@ def test_run_trial_records_every_family():
         "bounds_unconditional",
         "bounds_conditional",
     }
+
+
+def test_alternation_failure_is_filed_under_alternation():
+    # Its computed band edges sit 0.42 off the Floquet eigenvalues, so the
+    # discriminant has the wrong sign at one extremum.
+    c = new_periodic([0.6853027745792702] * 10, [-0.09913119158558903] * 10)
+    report = run_trial(c)
+    assert report.families["alternation"].detail.startswith("sign of discriminant at extremum")
+    assert not report.families["alternation"].passed
+    assert report.families["capacity"].passed
+    assert report.potential is None
+
+
+def test_capacity_mismatch_is_filed_under_capacity(monkeypatch):
+    def mismatch(d, bs):
+        raise CapacityMismatch("capacity 1.0 vs geometric mean 2.0")
+
+    monkeypatch.setattr(ensemble, "potential_report", mismatch)
+    report = run_trial(new_periodic([1.0, 1.0], [0.0, 2.0]))
+    assert report.families["capacity"].detail == "capacity 1.0 vs geometric mean 2.0"
+    assert not report.families["capacity"].passed
+    assert report.families["alternation"].detail == "skipped: capacity failed"
+    assert report.families["bounds_unconditional"].passed
 
 
 def test_unconditional_and_conditional_partition():
