@@ -25,6 +25,7 @@ from .discriminant import (
     DiscriminantData,
     eval_discriminant_bounded,
     eval_discriminant_stable,
+    exact_root,
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
@@ -211,58 +212,44 @@ def _secant_polish(c, target, x0, f0, x1, f1, piece_lo, piece_hi):
 _FLAT_GAP_TRIGGER = 1e-4
 
 
-def _exact_edge_position(c, x, target, inner, span, outward):
-    """Edge position by exact bisection between the band and the gap.
+def _exact_edge_position(c, x, target, inner, span):
+    """Edge position, exact to 1e-13 relative, between the band and the gap.
 
     inner is a point inside the open gap, where the discriminant provably
     overshoots the target; the outer bracket end is stepped into the band
     until the exact signs straddle. Falls back to x if no bracket forms.
     """
-    ap = offdiag_product_exact(c)
-    tgt = Fraction(target) * ap
-    f_inner = scaled_trace_exact(c, Fraction(inner)) - tgt
-    if f_inner == 0:
+    tgt = Fraction(target) * offdiag_product_exact(c)
+    s_inner = scaled_trace_exact(c, inner)
+    if s_inner == tgt:
         return inner
-    if (f_inner > 0) != (target > 0):
+    if (s_inner > tgt) != (target > 0):
         return x  # inner point is not beyond the target: touching, no bracket
-    tol = Fraction(1e-13 * max(1.0, abs(x)))
     step = max(4.0 * span, 1e-12 * max(1.0, abs(x)))
     for _ in range(8):
-        outer = x - step if outward < 0 else x + step
-        f_outer = scaled_trace_exact(c, Fraction(outer)) - tgt
-        if f_outer == 0:
+        outer = x - step if x < inner else x + step
+        s_outer = scaled_trace_exact(c, outer)
+        if s_outer == tgt:
             return outer
-        if (f_outer > 0) != (f_inner > 0):
-            lo, flo = (Fraction(outer), f_outer) if outer < inner else (Fraction(inner), f_inner)
-            hi = Fraction(inner) if outer < inner else Fraction(outer)
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                fm = scaled_trace_exact(c, mid) - tgt
-                if fm == 0:
-                    return float(mid)
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            return float((lo + hi) / 2)
+        if (s_outer > tgt) != (s_inner > tgt):
+            t, _ = exact_root(lambda t: scaled_trace_exact(c, t), tgt, Fraction(inner), Fraction(outer),
+                              s_inner, s_outer, wtol=Fraction(1e-13 * max(1.0, abs(x))))
+            return float(t)
         step *= 4.0
     return x
 
 
 def _sharpen_flat_gap_edges(c, bands, labels):
     """Re-refine the two edges around every narrow open gap."""
-    p = len(bands)
-    if p < 2:
-        return bands
     cut = _FLAT_GAP_TRIGGER * max(1.0, bands[-1].hi - bands[0].lo)
     out = list(bands)
-    for n in range(p - 1):
+    for n in range(len(bands) - 1):
         gap = out[n + 1].lo - out[n].hi
         if not 0.0 < gap < cut:
             continue
         inner = 0.5 * (out[n].hi + out[n + 1].lo)
-        hi_edge = _exact_edge_position(c, out[n].hi, 2.0 * labels[n][1], inner, gap, -1)
-        lo_edge = _exact_edge_position(c, out[n + 1].lo, 2.0 * labels[n + 1][0], inner, gap, +1)
+        hi_edge = _exact_edge_position(c, out[n].hi, 2.0 * labels[n][1], inner, gap)
+        lo_edge = _exact_edge_position(c, out[n + 1].lo, 2.0 * labels[n + 1][0], inner, gap)
         out[n] = Interval(out[n].lo, hi_edge)
         out[n + 1] = Interval(lo_edge, out[n + 1].hi)
     return out

@@ -201,6 +201,42 @@ def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
     return scaled_trace_exact(c, t) / offdiag_product_exact(c)
 
 
+def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, rtol=Fraction(0), wtol=Fraction(0)):
+    """Solve f(t) = y exactly between dyadic a and b by Illinois regula falsi.
+
+    f maps rationals to Fractions; f_a = f(a) and f_b = f(b) lie strictly on
+    opposite sides of y. Returns (t, f(t)) at the first secant point with
+    |f(t) - y| <= rtol, or at the latest once the bracket is within wtol.
+    Points are integers over a power of two, each rounded to a grid of 2^-k
+    of the bracket (k the fewest bits for a step under 1/16 of the
+    tolerance) and clamped strictly inside. A point on the side of the last
+    one halves the residual of the end kept (Dowell & Jarratt, BIT 11, 1971).
+    A bracket a few ulps wide is linear to many digits: one step meets rtol.
+    """
+    yn, yd = y.numerator, y.denominator
+    den = math.lcm(a.denominator, b.denominator)
+    a, b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    (na, da), (nb, db) = ((v.numerator * yd - yn * v.denominator, v.denominator * yd) for v in (f_a, f_b))
+    for _ in range(100):
+        u, w = abs(na * db), abs(nb * da)  # the secant point is u / (u + w) of the way to b
+        q = (16 * (u + w) * rtol.denominator // (da * db * rtol.numerator) if rtol
+             else 16 * abs(b - a) * wtol.denominator // (den * wtol.numerator))
+        k = max(q.bit_length(), 1)
+        m = (a << k) + (b - a) * min(max((u << k) // (u + w), 1), (1 << k) - 1)
+        a, b, den = a << k, b << k, den << k
+        t = Fraction(m, den)
+        v = f(t)
+        nm, dm = v.numerator * yd - yn * v.denominator, v.denominator * yd
+        if (nm > 0) == (nb > 0):
+            da <<= 1
+        else:
+            a, na, da = b, nb, db
+        b, nb, db = m, nm, dm
+        if abs(nm) * rtol.denominator <= rtol.numerator * dm or abs(b - a) * wtol.denominator <= wtol.numerator * den:
+            break
+    return t, v
+
+
 def build_discriminant(c: PeriodicCoefficients, root_tol: float | None = None) -> DiscriminantData:
     """Expand the discriminant and verify its structural properties.
 

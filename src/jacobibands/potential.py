@@ -25,13 +25,15 @@ from .discriminant import (
     DiscriminantData,
     chebyshev_scale,
     eval_discriminant_bounded,
+    exact_root,
     offdiag_product_exact,
     scaled_trace_exact,
+    search_interval,
 )
 from .errors import AlternationFailure, CapacityMismatch
 
 # Edges whose evaluated |discriminant| strays from 2 by more than this are
-# re-refined with exact rational bisection before entering the sup.
+# re-refined exactly (`_refine_value_exact`) before entering the sup.
 _EXACT_REFINE_TRIGGER = 1e-10
 
 _CAPACITY_RTOL = 1e-9
@@ -73,55 +75,30 @@ def capacity_interval(iv: Interval) -> float:
 
 
 def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
-    """|discriminant| at the true edge near x, by exact rational bisection.
+    """|discriminant| at the true edge near x, by exact regula falsi.
 
-    Steep edges leave no float whose value is near the target; bisecting
-    with exact arithmetic on rational midpoints recovers the value to
-    1e-12 relative regardless of the local slope. Works on the cleared-
-    denominator trace, so the target scales by the exact off-diagonal
-    product. Returns the float evaluation when no enclosing sign change
-    exists (touching edge: the value there is fine already).
-
-    Every point is dyadic, kept as an integer over a power of two, and the
-    residual trace - target * prod(a) is compared through integer cross
-    products, so only the evaluator itself builds Fractions.
+    Steep edges leave no float whose value is near the target; solving
+    trace = target * prod(a) exactly recovers the value to 1e-12 relative
+    whatever the slope. The bracket x +/- h widens until the exact signs
+    differ, but not past the search interval, which holds every root. With
+    no sign change (a touching edge) the float value, fine there, is returned.
     """
     c = d.coeffs
     ap = offdiag_product_exact(c)
-    ap_n, ap_d = ap.numerator, ap.denominator
-    tgt_n = target * ap_n
-
-    def residual(num: int, den: int) -> tuple[int, Fraction]:
-        """Sign-exact numerator of trace(num/den) - target * prod(a), and the trace."""
-        s = scaled_trace_exact(c, Fraction(num, den))
-        return s.numerator * ap_d - tgt_n * s.denominator, s
-
-    xn, xd = x.as_integer_ratio()
-    hn, hd = max(1e-13 * max(1.0, abs(x)), 1e-15).as_integer_ratio()
-    den = math.lcm(xd, hd)
-    xn *= den // xd
-    hn *= den // hd
+    tgt = target * ap
+    lo_bound, hi_bound = search_interval(c)
+    fx, h = Fraction(x), Fraction(max(1e-13 * max(1.0, abs(x)), 1e-15))
     for _ in range(30):
-        lo, hi = xn - hn, xn + hn
-        fl, _ = residual(lo, den)
-        fh, _ = residual(hi, den)
-        if fl == 0 or fh == 0:
+        lo, hi = fx - h, fx + h
+        if lo <= lo_bound and hi >= hi_bound:
+            break
+        s_lo, s_hi = scaled_trace_exact(c, lo), scaled_trace_exact(c, hi)
+        if s_lo == tgt or s_hi == tgt:
             return abs(target)
-        if (fl > 0) != (fh > 0):
-            for _ in range(400):
-                # (lo + hi) / 2 over den is (lo + hi) over 2 * den
-                mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-                fm, s = residual(mid, den)
-                if abs(fm) * 10**12 <= 2 * ap_n * s.denominator:
-                    break
-                if (fm > 0) == (fl > 0):
-                    lo, fl = mid, fm
-                else:
-                    hi = mid
-            else:
-                _, s = residual(lo + hi, 2 * den)
-            return abs(s.numerator) * ap_d / (s.denominator * ap_n)
-        hn *= 8
+        if (s_lo > tgt) != (s_hi > tgt):
+            _, s = exact_root(lambda t: scaled_trace_exact(c, t), tgt, lo, hi, s_lo, s_hi, rtol=2 * ap / 10**12)
+            return abs(s.numerator) * ap.denominator / (s.denominator * ap.numerator)
+        h *= 8
     value, _ = eval_discriminant_bounded(c, x)
     return abs(value)
 

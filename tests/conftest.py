@@ -38,6 +38,19 @@ def free_operator(p):
     return new_periodic([1.0] * p, [0.0] * p)
 
 
+def count_exact_calls(monkeypatch, module):
+    """Count the calls module makes to scaled_trace_exact; returns a one-item list."""
+    calls = [0]
+    inner = module.scaled_trace_exact
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, "scaled_trace_exact", counted)
+    return calls
+
+
 @contextlib.contextmanager
 def criterion(num, desc):
     """Print one pass/fail line per acceptance criterion."""

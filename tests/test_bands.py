@@ -11,11 +11,12 @@ from jacobibands import (
     gap_report,
     new_periodic,
 )
+from jacobibands import bands as bands_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
 from jacobibands.discriminant import DiscriminantData, eval_discriminant_stable
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
-from conftest import free_operator, period2_operator
+from conftest import count_exact_calls, free_operator, period2_operator
 
 SQRT5 = math.sqrt(5.0)
 
@@ -227,3 +228,16 @@ def test_csv_export_layout(period2_bands):
 
 def test_interval_length():
     assert Interval(1.0, 3.5).length == 2.5
+
+
+@pytest.mark.parametrize("eps", [1e-7, 3e-6])
+def test_flat_gap_edges_are_exact(eps, monkeypatch):
+    # D = x (x - eps) - 2, so the inner gap is exactly [0, eps]; float
+    # evaluation alone places these flat edges only to ~1e-9. Regula falsi
+    # without the Illinois step stalls on this parabola (about 160 exact
+    # calls, bisection about 55).
+    calls = count_exact_calls(monkeypatch, bands_mod)
+    bs = band_structure(build_discriminant(new_periodic([1.0, 1.0], [0.0, eps])))
+    assert abs(bs.gaps[0].lo) <= 1e-13
+    assert abs(bs.gaps[0].hi - eps) <= 1e-13
+    assert calls[0] <= 40

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from jacobibands import (
     potential_report,
     spectrum_capacity,
 )
+from jacobibands import potential as potential_mod
 from jacobibands.bands import Interval
-from jacobibands.ensemble import EnsembleConfig, sample_operator
+from jacobibands.ensemble import EnsembleConfig, run_trial, sample_operator
 
-from conftest import free_operator, period2_operator
+from conftest import count_exact_calls, free_operator, period2_operator
 
 SQRT5 = math.sqrt(5.0)
 
@@ -162,3 +164,37 @@ def test_report_bundles_everything():
         ((SQRT5 - 1.0) / 4.0, (SQRT5 - 1.0) / 4.0), abs=1e-11
     )
     assert sum(rep.band_measures) == 1
+
+
+def test_exact_refinement_certifies_steep_edges_in_few_calls(monkeypatch):
+    calls = count_exact_calls(monkeypatch, potential_mod)
+    refined = []
+    inner = potential_mod._refine_value_exact
+
+    def recorded(d, x, target):
+        value = inner(d, x, target)
+        refined.append((target, value))
+        return value
+
+    monkeypatch.setattr(potential_mod, "_refine_value_exact", recorded)
+    cfg = EnsembleConfig(seed=42)
+    for k in range(300):
+        potential_report(*pipeline(sample_operator(cfg, k)))
+    assert len(refined) > 300
+    for target, value in refined:
+        assert abs(value - abs(target)) <= 2e-12 * abs(target)
+    assert calls[0] / len(refined) <= 4.0
+
+
+def test_long_period_refinement_stays_bounded(monkeypatch):
+    # |D| reaches 1e23 at the float edges of this p = 40 operator, so every
+    # edge is refined; alternation fails on the float signs either way.
+    calls = count_exact_calls(monkeypatch, potential_mod)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = run_trial(sample_operator(EnsembleConfig(seed=1, p_min=40, p_max=40), 0))
+    assert calls[0] <= 600
+    assert report.families["capacity"].passed
+    assert report.families["alternation"].detail.startswith(
+        "sign of discriminant at extremum -14.514989887117375 is -1, expected +1"
+    )
