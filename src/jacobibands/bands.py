@@ -3,13 +3,14 @@
 Between consecutive critical points the discriminant is strictly monotone
 and sweeps across the full strip [-2, 2] exactly once, so every such piece
 carries exactly one band. Solving discriminant = +2 and = -2 per piece
-yields the 2p edges, including touching bands: when the float value at a
-critical point sits within evaluation noise of +/-2, exact rational
-arithmetic arbitrates between a genuine touch (both neighboring edges
-snap onto the critical point, gap length exactly zero) and a microscopic
-open gap (bisected as usual). Edges around narrow open gaps, whose flat
-crossings would otherwise scatter by noise over slope, are re-refined
-exactly as well.
+(`polynomial.float_root`, then a secant polish) yields the 2p edges,
+including touching bands. Each knot is evaluated once, and when the float
+value at a critical point sits within evaluation noise of +/-2, one exact
+rational evaluation arbitrates for both neighboring pieces between a
+genuine touch (both edges snap onto the critical point, gap length
+exactly zero) and a microscopic open gap (refined as usual). Edges around
+narrow open gaps, whose flat crossings would otherwise scatter by noise
+over slope, are re-refined exactly as well.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .discriminant import (
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
+    trace_side,
 )
-from .errors import EdgeCountMismatch, NonConvergence
+from .errors import EdgeCountMismatch
 from .floquet import band_edges_oracle
-
-_BISECT_BUDGET = 300
+from .polynomial import float_root
 
 DEFAULT_CLOSED_TOL = 1e-9
 
@@ -100,56 +101,43 @@ def _crossing_beyond_resolution(c, x, target, err_bound):
     or on the band side means a touching point (the critical point itself
     carries position error ~1e-12, which perturbs its value only at order
     curvature * 1e-24). A value strictly beyond the target means an open
-    gap, but bisection can only place its edges to within the evaluation
-    noise; gaps whose exact overshoot is inside that noise are reported
-    as touching. Returns the corrected sign of value - target for
-    bisection, or None to snap.
+    gap, but the float refiner can only place its edges to within the
+    evaluation noise; gaps whose exact overshoot is inside that noise are
+    reported as touching. Returns the corrected sign of value - target,
+    or None to snap.
     """
     ap = offdiag_product_exact(c)
-    overshoot = scaled_trace_exact(c, x) - Fraction(target) * ap
-    if overshoot == 0 or (overshoot > 0) != (target > 0):
-        return None
-    if abs(overshoot) <= Fraction(0.5 * err_bound) * ap:
+    side = trace_side(scaled_trace_exact(c, x), Fraction(target) * ap, Fraction(0.5 * err_bound) * ap)
+    if side == 0 or (side > 0) != (target > 0):
         return None
     return 1.0 if target > 0 else -1.0
 
 
-def _solve_on_piece(
-    c: PeriodicCoefficients,
-    xl: float,
-    xr: float,
-    target: float,
-    left_is_critical: bool,
-    right_is_critical: bool,
-    tol: float,
-) -> float:
+def _knot_residual(c, x, value, err, target, critical):
+    """value - target at knot x, sign-corrected where it sits in noise.
+
+    At a critical point within the float evaluation noise of the target
+    the sign comes from exact arbitration; None means the edges on both
+    sides snap to x (touching bands, gap length exactly zero).
+    """
+    g = value - target
+    if critical and abs(g) <= 4.0 * err + 1e-14 * (1.0 + abs(target)):
+        corrected = _crossing_beyond_resolution(c, x, target, err)
+        if corrected is None:
+            return None
+        g = corrected * max(abs(g), 1e-300)
+    return g
+
+
+def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critical, tol):
     """Unique solution of discriminant = target on a monotone piece.
 
-    Endpoints that are critical points get snap treatment: if the exact
-    value there does not overshoot the target by more than the float
-    evaluation noise, the edge is the critical point itself (touching
-    bands) and the adjacent gap has length exactly zero.
+    gl and gr are the knot residuals (`_knot_residual`) at the piece ends;
+    None at a critical end means the edge is that critical point.
     """
-    vl, el = eval_discriminant_bounded(c, xl)
-    vr, er = eval_discriminant_bounded(c, xr)
-    gl = vl - target
-    gr = vr - target
-    noise_l = 4.0 * el + 1e-14 * (1.0 + abs(target))
-    noise_r = 4.0 * er + 1e-14 * (1.0 + abs(target))
-
-    if left_is_critical and abs(gl) <= noise_l:
-        corrected = _crossing_beyond_resolution(c, xl, target, el)
-        if corrected is None:
-            return xl
-        gl = corrected * max(abs(gl), 1e-300)
-    if right_is_critical and abs(gr) <= noise_r:
-        corrected = _crossing_beyond_resolution(c, xr, target, er)
-        if corrected is None:
-            return xr
-        gr = corrected * max(abs(gr), 1e-300)
-    if gl == 0.0:
+    if gl is None or gl == 0.0:
         return xl
-    if gr == 0.0:
+    if gr is None or gr == 0.0:
         return xr
     if (gl > 0.0) == (gr > 0.0):
         # Same sign beyond noise: the crossing exists but sits below float
@@ -159,33 +147,16 @@ def _solve_on_piece(
         if right_is_critical:
             return xr
         raise EdgeCountMismatch(
-            f"no sign change for target {target} on [{xl}, {xr}]: values ({vl}, {vr})"
+            f"no sign change for target {target} on [{xl}, {xr}]: residuals ({gl}, {gr})"
         )
-
-    lo, hi = xl, xr
-    flo, fhi = gl, gr
-    for _ in range(_BISECT_BUDGET):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        fm = eval_discriminant_stable(c, mid) - target
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    else:
-        raise NonConvergence(f"edge bisection budget exhausted on [{lo}, {hi}]")
+    lo, flo, hi, fhi = float_root(lambda t: eval_discriminant_stable(c, t) - target, xl, gl, xr, gr, tol)
     return _secant_polish(c, target, lo, flo, hi, fhi, xl, xr)
 
 
 def _secant_polish(c, target, x0, f0, x1, f1, piece_lo, piece_hi):
-    """Sharpen a bisected edge to float resolution with secant steps.
+    """Sharpen a refined edge to float resolution with secant steps.
 
-    The bisection bracket is tol-wide; on steep edges that leaves the
+    The refined bracket is tol-wide; on steep edges that leaves the
     evaluated discriminant far from the target even though the position
     is fine. A few secant iterations push the residual down to the
     evaluation noise floor. Steps are confined to the piece.
@@ -221,17 +192,19 @@ def _exact_edge_position(c, x, target, inner, span):
     """
     tgt = Fraction(target) * offdiag_product_exact(c)
     s_inner = scaled_trace_exact(c, inner)
-    if s_inner == tgt:
+    side_inner = trace_side(s_inner, tgt)
+    if side_inner == 0:
         return inner
-    if (s_inner > tgt) != (target > 0):
+    if (side_inner > 0) != (target > 0):
         return x  # inner point is not beyond the target: touching, no bracket
     step = max(4.0 * span, 1e-12 * max(1.0, abs(x)))
     for _ in range(8):
         outer = x - step if x < inner else x + step
         s_outer = scaled_trace_exact(c, outer)
-        if s_outer == tgt:
+        side_outer = trace_side(s_outer, tgt)
+        if side_outer == 0:
             return outer
-        if (s_outer > tgt) != (s_inner > tgt):
+        if side_outer != side_inner:
             t, _ = exact_root(lambda t: scaled_trace_exact(c, t), tgt, Fraction(inner), Fraction(outer),
                               s_inner, s_outer, wtol=Fraction(1e-13 * max(1.0, abs(x))))
             return float(t)
@@ -324,14 +297,17 @@ def band_structure(
             f"{len(criticals)} critical points for period {p}; expected {p - 1}"
         )
     knots = [lo_bound, *criticals, hi_bound]
+    values = [eval_discriminant_bounded(c, x) for x in knots]
+    plus, minus = (
+        [_knot_residual(c, x, v, e, target, 0 < k < p) for k, (x, (v, e)) in enumerate(zip(knots, values))]
+        for target in (2.0, -2.0)
+    )
     bands: list[Interval] = []
     labels: list[tuple[int, int]] = []
     for n in range(p):
         xl, xr = knots[n], knots[n + 1]
-        left_crit = n > 0
-        right_crit = n < p - 1
-        e_plus = _solve_on_piece(c, xl, xr, 2.0, left_crit, right_crit, tol)
-        e_minus = _solve_on_piece(c, xl, xr, -2.0, left_crit, right_crit, tol)
+        e_plus = _solve_on_piece(c, xl, plus[n], xr, plus[n + 1], 2.0, n > 0, n < p - 1, tol)
+        e_minus = _solve_on_piece(c, xl, minus[n], xr, minus[n + 1], -2.0, n > 0, n < p - 1, tol)
         if e_plus <= e_minus:
             bands.append(Interval(e_plus, e_minus))
             labels.append((1, -1))
@@ -347,7 +323,7 @@ def band_structure(
 
 
 def _refine_near_oracle(c, x, target, tol, scale):
-    """Sign-change bisection around an oracle eigenvalue; keeps x on failure."""
+    """Edge refined from a sign change around an oracle eigenvalue; keeps x on failure."""
     h = max(1e-12 * scale, 1e-15 * max(1.0, abs(x)))
     for _ in range(40):
         lo, hi = x - h, x + h
@@ -358,24 +334,14 @@ def _refine_near_oracle(c, x, target, tol, scale):
         if fh == 0.0:
             return hi
         if (fl > 0.0) != (fh > 0.0):
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if not (lo < mid < hi):
-                    break
-                fm = eval_discriminant_stable(c, mid) - target
-                if fm == 0.0:
-                    return mid
-                if (fm > 0.0) == (fl > 0.0):
-                    lo, fl = mid, fm
-                else:
-                    hi, fh = mid, fm
+            lo, fl, hi, fh = float_root(lambda t: eval_discriminant_stable(c, t) - target, lo, fl, hi, fh, tol)
             return _secant_polish(c, target, lo, fl, hi, fh, lo, hi)
         h *= 8.0
     return x  # touching edge: no sign change exists
 
 
 def _band_structure_from_oracle(c, tol, closed_tol) -> BandStructure:
-    """Bands from Floquet eigenvalues refined by stable-evaluation bisection."""
+    """Bands from Floquet eigenvalues refined on the stable evaluation."""
     plus, minus = band_edges_oracle(c)
     lo_bound, hi_bound = search_interval(c)
     scale = hi_bound - lo_bound

@@ -12,7 +12,10 @@ rational, so one operator converts once (and is cached) to integer
 numerators over a common denominator. A point t = T/D joins that
 denominator through an lcm, and the cleared-denominator transfer product
 then runs in plain int arithmetic: no Fraction and no gcd inside the
-loop, one Fraction built for the result.
+loop. The result stays an unreduced integer pair: reducing it costs a gcd
+on the full-size numerator, and callers only need it compared with a
+rational (`trace_side`, by integer cross products) or as a float
+(`trace_ratio`).
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def offdiag_product_exact(c: PeriodicCoefficients) -> Fraction:
     return Fraction(math.prod(a), den**c.p)
 
 
-def scaled_trace_exact(c: PeriodicCoefficients, t) -> Fraction:
+def scaled_trace_exact(c: PeriodicCoefficients, t) -> tuple[int, int]:
     """Exact trace of the product of the cleared-denominator transfer steps.
 
     Each step (1/a_n) * [[t - b_n, -a_{n-1}], [a_n, 0]] contributes its
@@ -166,7 +169,8 @@ def scaled_trace_exact(c: PeriodicCoefficients, t) -> Fraction:
     times prod(a). With t = T/D and the operator's integer form over den,
     every step times L = lcm(den, D) is an integer matrix, so the product
     is an integer matrix over L^p. t may be a float, an int or any
-    rational.
+    rational. Returns (numerator, denominator) with denominator L^p > 0,
+    not reduced to lowest terms.
     """
     den, a_num, b_num = _integer_form(c)
     t = Fraction(t)
@@ -186,7 +190,7 @@ def scaled_trace_exact(c: PeriodicCoefficients, t) -> Fraction:
             an * m00,
             an * m01,
         )
-    return Fraction(m00 + m11, scale**c.p)
+    return m00 + m11, scale**c.p
 
 
 def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
@@ -198,14 +202,33 @@ def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
     plus one gcd to reduce the result and one division by the exact
     off-diagonal product.
     """
-    return scaled_trace_exact(c, t) / offdiag_product_exact(c)
+    return Fraction(*scaled_trace_exact(c, t)) / offdiag_product_exact(c)
+
+
+def _residual(s, y: Fraction) -> tuple[int, int]:
+    """s - y for a `scaled_trace_exact` pair s, as an unreduced pair over a positive denominator."""
+    return s[0] * y.denominator - y.numerator * s[1], s[1] * y.denominator
+
+
+def trace_side(s, y: Fraction, bound: Fraction = Fraction(0)) -> int:
+    """Sign of s - y for a `scaled_trace_exact` pair s; 0 where |s - y| <= bound."""
+    n, d = _residual(s, y)
+    if abs(n) * bound.denominator <= bound.numerator * d:
+        return 0
+    return 1 if n > 0 else -1
+
+
+def trace_ratio(s, y: Fraction) -> float:
+    """s / y for a `scaled_trace_exact` pair s, correctly rounded to a float."""
+    return s[0] * y.denominator / (s[1] * y.numerator)
 
 
 def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, rtol=Fraction(0), wtol=Fraction(0)):
     """Solve f(t) = y exactly between dyadic a and b by Illinois regula falsi.
 
-    f maps rationals to Fractions; f_a = f(a) and f_b = f(b) lie strictly on
-    opposite sides of y. Returns (t, f(t)) at the first secant point with
+    f maps rationals to (numerator, positive denominator) integer pairs;
+    f_a = f(a) and f_b = f(b) lie strictly on opposite sides of y, and
+    y is a Fraction. Returns (t, f(t)) at the first secant point with
     |f(t) - y| <= rtol, or at the latest once the bracket is within wtol.
     Points are integers over a power of two, each rounded to a grid of 2^-k
     of the bracket (k the fewest bits for a step under 1/16 of the
@@ -213,10 +236,9 @@ def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, rtol=Fraction
     one halves the residual of the end kept (Dowell & Jarratt, BIT 11, 1971).
     A bracket a few ulps wide is linear to many digits: one step meets rtol.
     """
-    yn, yd = y.numerator, y.denominator
     den = math.lcm(a.denominator, b.denominator)
     a, b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    (na, da), (nb, db) = ((v.numerator * yd - yn * v.denominator, v.denominator * yd) for v in (f_a, f_b))
+    (na, da), (nb, db) = _residual(f_a, y), _residual(f_b, y)
     for _ in range(100):
         u, w = abs(na * db), abs(nb * da)  # the secant point is u / (u + w) of the way to b
         q = (16 * (u + w) * rtol.denominator // (da * db * rtol.numerator) if rtol
@@ -226,7 +248,7 @@ def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, rtol=Fraction
         a, b, den = a << k, b << k, den << k
         t = Fraction(m, den)
         v = f(t)
-        nm, dm = v.numerator * yd - yn * v.denominator, v.denominator * yd
+        nm, dm = _residual(v, y)
         if (nm > 0) == (nb > 0):
             da <<= 1
         else:

@@ -2,8 +2,9 @@
 
 Coefficients are stored in the monomial basis, index k holding the
 coefficient of x**k. Root isolation uses a Sturm remainder sequence to
-count distinct roots, bisection to refine each isolated root, and
-derivative probes to tag multiplicities.
+count distinct roots, `float_root` (safeguarded Illinois regula falsi) to
+refine each isolated root with a sign change, and derivative probes to
+tag multiplicities. `float_root` also refines the band edges.
 
 Floating-point Sturm chains cannot separate roots closer than roughly
 1e-6 of the coefficient scale; such clusters collapse to one reported
@@ -27,7 +28,13 @@ _CHAIN_DROP = 1e-13
 # when tagging multiplicities.
 _MULT_REL = 1e-9
 
-_BISECT_BUDGET = 240
+# Steps of `float_root` and of the Sturm-count bisection. Either reaches tol
+# or the float resolution floor in well under this many steps.
+_STEP_BUDGET = 300
+
+# Halvings by which the bracket of `float_root` may lag plain bisection
+# before every further step bisects.
+_LAG = 8
 
 
 class Poly:
@@ -249,28 +256,56 @@ def _multiplicity(p: Poly, r: float) -> int:
     return max(deg, 1)
 
 
-def _refine_sign(cs, x0, x1, tol):
-    """Bisection on a sign change of cs over [x0, x1]."""
-    f0 = _eval(cs, x0)
-    for _ in range(_BISECT_BUDGET):
-        if x1 - x0 <= tol:
-            return x0, x1
-        mid = 0.5 * (x0 + x1)
-        if not (x0 < mid < x1):
-            return x0, x1  # float resolution floor
-        fm = _eval(cs, mid)
-        if fm == 0.0:
-            return mid, mid
-        if (f0 > 0.0) == (fm > 0.0):
-            x0, f0 = mid, fm
+def float_root(f, lo, f_lo, hi, f_hi, tol):
+    """Bracket of width <= tol around a sign change of f, by Illinois regula falsi.
+
+    f_lo = f(lo) and f_hi = f(hi) are nonzero with opposite signs. Returns
+    (lo, f_lo, hi, f_hi) once hi - lo <= tol or the bracket cannot be split
+    in floats, and (x, 0.0, x, 0.0) at an exact zero. Each step takes the
+    secant point of the ends, kept tol/2 inside the bracket so that a point
+    next to the root lands on its far side and closes the bracket. An end
+    kept twice in a row has its value halved for the secant (Dowell &
+    Jarratt, BIT 11, 1971). Regula falsi can crawl from one side for many
+    steps, so the bracket after step j must be within 2^(_LAG - j) of the
+    first one; while it is not, the steps bisect. That bounds the work at
+    _LAG + 1 evaluations more than bisection needs.
+    """
+    g_lo, g_hi = f_lo, f_hi  # the values the secant uses, Illinois-halved
+    kept = 0  # -1 if the last step kept lo, +1 if it kept hi
+    allowed = hi - lo  # 2^(_LAG - j) times the first width, from step _LAG on
+    for step in range(_STEP_BUDGET):
+        width = hi - lo
+        if width <= tol:
+            return lo, f_lo, hi, f_hi
+        mid = 0.5 * (lo + hi)
+        x = mid
+        if width <= allowed:
+            x = min(max(lo + width * (g_lo / (g_lo - g_hi)), lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            if not lo < mid < hi:
+                return lo, f_lo, hi, f_hi  # float resolution floor
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x, fx, x, fx
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo, g_lo = x, fx, fx
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
         else:
-            x1 = mid
-    raise NonConvergence(f"bisection budget exhausted on [{x0}, {x1}]")
+            hi, f_hi, g_hi = x, fx, fx
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+        if step >= _LAG:
+            allowed *= 0.5
+    raise NonConvergence(f"root budget exhausted on [{lo}, {hi}]")
 
 
 def _refine_count(chain, x0, x1, v0, tol):
     """Bisection keeping the half that still holds the single counted root."""
-    for _ in range(_BISECT_BUDGET):
+    for _ in range(_STEP_BUDGET):
         if x1 - x0 <= tol:
             return x0, x1
         mid = 0.5 * (x0 + x1)
@@ -288,7 +323,8 @@ def real_roots_in(x: Poly, lo: float, hi: float, tol: float | None = None) -> li
     """All real roots of x in [lo, hi], sorted, each with a multiplicity tag.
 
     Each distinct root is bracketed by Sturm sign-change counts and then
-    refined by bisection to an absolute width <= tol.
+    refined to an absolute width <= tol: by `float_root` where x changes
+    sign, by Sturm-count bisection where it does not.
     """
     if x.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -341,7 +377,7 @@ def real_roots_in(x: Poly, lo: float, hi: float, tol: float | None = None) -> li
             results.append(Root(x1, _multiplicity(x, x1)))
             continue
         if f0 != 0.0 and (f0 > 0.0) != (f1 > 0.0):
-            a, b = _refine_sign(cs, x0, x1, tol)
+            a, _, b, _ = float_root(lambda t: _eval(cs, t), x0, f0, x1, f1, tol)
         else:
             # even multiplicity, or a split point that is itself a root of x
             a, b = _refine_count(chain, x0, x1, v0, tol)

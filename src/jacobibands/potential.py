@@ -29,6 +29,8 @@ from .discriminant import (
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
+    trace_ratio,
+    trace_side,
 )
 from .errors import AlternationFailure, CapacityMismatch
 
@@ -93,11 +95,12 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
         if lo <= lo_bound and hi >= hi_bound:
             break
         s_lo, s_hi = scaled_trace_exact(c, lo), scaled_trace_exact(c, hi)
-        if s_lo == tgt or s_hi == tgt:
+        side_lo, side_hi = trace_side(s_lo, tgt), trace_side(s_hi, tgt)
+        if side_lo == 0 or side_hi == 0:
             return abs(target)
-        if (s_lo > tgt) != (s_hi > tgt):
+        if side_lo != side_hi:
             _, s = exact_root(lambda t: scaled_trace_exact(c, t), tgt, lo, hi, s_lo, s_hi, rtol=2 * ap / 10**12)
-            return abs(s.numerator) * ap.denominator / (s.denominator * ap.numerator)
+            return abs(trace_ratio(s, ap))
         h *= 8
     value, _ = eval_discriminant_bounded(c, x)
     return abs(value)

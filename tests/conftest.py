@@ -51,6 +51,19 @@ def count_exact_calls(monkeypatch, module):
     return calls
 
 
+def count_float_calls(monkeypatch, module):
+    """Count the calls module makes to eval_discriminant_stable; returns a one-item list."""
+    calls = [0]
+    inner = module.eval_discriminant_stable
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, "eval_discriminant_stable", counted)
+    return calls
+
+
 @contextlib.contextmanager
 def criterion(num, desc):
     """Print one pass/fail line per acceptance criterion."""

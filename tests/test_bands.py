@@ -16,7 +16,7 @@ from jacobibands.bands import Interval, band_structure as bands_fn
 from jacobibands.discriminant import DiscriminantData, eval_discriminant_stable
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
-from conftest import count_exact_calls, free_operator, period2_operator
+from conftest import ACCEPTANCE_CONFIG, count_exact_calls, count_float_calls, free_operator, period2_operator
 
 SQRT5 = math.sqrt(5.0)
 
@@ -241,3 +241,24 @@ def test_flat_gap_edges_are_exact(eps, monkeypatch):
     assert abs(bs.gaps[0].lo) <= 1e-13
     assert abs(bs.gaps[0].hi - eps) <= 1e-13
     assert calls[0] <= 40
+
+
+def test_float_edge_refinement_budget(monkeypatch):
+    # Bisection to the 1e-12 tolerance took about 38 float evaluations per
+    # edge on these operators; Illinois regula falsi plus the polish ~12.5.
+    calls = count_float_calls(monkeypatch, bands_mod)
+    edges = 0
+    for k in range(300):
+        c = sample_operator(ACCEPTANCE_CONFIG, k)
+        bs = band_structure(build_discriminant(c))
+        edges += len(bs.edges)
+    assert calls[0] / edges <= 15.0
+
+
+def test_one_exact_arbitration_per_closed_gap(monkeypatch):
+    # Each critical value of the free operator sits on +/-2; the two pieces
+    # around it share one exact arbitration.
+    calls = count_exact_calls(monkeypatch, bands_mod)
+    bs = band_structure(build_discriminant(free_operator(6)))
+    assert all(bs.closed_gap_flags) and len(bs.gaps) == 5
+    assert calls[0] <= 5

@@ -19,6 +19,8 @@ from jacobibands.discriminant import (
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
+    trace_ratio,
+    trace_side,
 )
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
@@ -149,10 +151,23 @@ def test_exact_evaluator_is_consistent():
 def test_scaled_trace_matches_discriminant_times_product():
     c = sample_operator(EnsembleConfig(trials=1, seed=21), 0)
     t = 0.73
-    lhs = scaled_trace_exact(c, t)
+    lhs = Fraction(*scaled_trace_exact(c, t))
     rhs = eval_discriminant_exact(c, t) * offdiag_product_exact(c)
     assert lhs == rhs
     assert chebyshev_scale(c) == pytest.approx(float(offdiag_product_exact(c)), rel=1e-13)
+
+
+def test_trace_pair_helpers_match_fractions():
+    # unreduced pairs, as scaled_trace_exact returns them
+    for s in [(6, 4), (-6, 4), (3 * 2**80, 2**81), (0, 8)]:
+        v = Fraction(*s)
+        for y in [Fraction(3, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(0)]:
+            sign = (v > y) - (v < y)
+            assert trace_side(s, y) == sign
+            assert trace_side(s, y, abs(v - y)) == 0
+            assert trace_side(s, y, abs(v - y) / 2) == sign
+            if y:
+                assert trace_ratio(s, y) == float(v / y)
 
 
 def test_cyclic_shift_leaves_discriminant_unchanged():
@@ -242,6 +257,6 @@ def test_integer_kernel_matches_fraction_oracle():
     for k in range(len(points[operators[0]])):
         for c in operators:
             t = points[c][k]
-            assert scaled_trace_exact(c, t) == fraction_scaled_trace(c, t), (c.p, t)
+            assert Fraction(*scaled_trace_exact(c, t)) == fraction_scaled_trace(c, t), (c.p, t)
     for c in operators:
         assert offdiag_product_exact(c) == math.prod(Fraction(x) for x in c.a)

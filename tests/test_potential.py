@@ -196,5 +196,5 @@ def test_long_period_refinement_stays_bounded(monkeypatch):
     assert calls[0] <= 600
     assert report.families["capacity"].passed
     assert report.families["alternation"].detail.startswith(
-        "sign of discriminant at extremum -14.514989887117375 is -1, expected +1"
+        "sign of discriminant at extremum -14.514989887117377 is -1, expected +1"
     )
