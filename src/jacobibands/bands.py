@@ -322,10 +322,20 @@ def band_structure(
     return _assemble(c, bands, labels, closed_tol)
 
 
-def _refine_near_oracle(c, x, target, tol, scale):
-    """Edge refined from a sign change around an oracle eigenvalue; keeps x on failure."""
+def _refine_near_oracle(c, x, target, tol, scale, roots):
+    """Edge refined from a sign change around an oracle eigenvalue; keeps x on failure.
+
+    roots holds the eigenvalues of x's Floquet matrix, the solutions of
+    discriminant = target. The bracket x +/- h widens only while h stays
+    below half the distance to the nearest of them that is distinct from
+    x, so any sign change found belongs to x. At a touching edge (a double
+    eigenvalue) no sign change forms and x stays.
+    """
     h = max(1e-12 * scale, 1e-15 * max(1.0, abs(x)))
+    reach = 0.5 * min((abs(y - x) for y in roots if abs(y - x) > 2.0 * h), default=math.inf)
     for _ in range(40):
+        if h >= reach:
+            return x
         lo, hi = x - h, x + h
         fl = eval_discriminant_stable(c, lo) - target
         fh = eval_discriminant_stable(c, hi) - target
@@ -337,7 +347,7 @@ def _refine_near_oracle(c, x, target, tol, scale):
             lo, fl, hi, fh = float_root(lambda t: eval_discriminant_stable(c, t) - target, lo, fl, hi, fh, tol)
             return _secant_polish(c, target, lo, fl, hi, fh, lo, hi)
         h *= 8.0
-    return x  # touching edge: no sign change exists
+    return x
 
 
 def _band_structure_from_oracle(c, tol, closed_tol) -> BandStructure:
@@ -345,10 +355,13 @@ def _band_structure_from_oracle(c, tol, closed_tol) -> BandStructure:
     plus, minus = band_edges_oracle(c)
     lo_bound, hi_bound = search_interval(c)
     scale = hi_bound - lo_bound
-    tagged = sorted([(x, 1) for x in plus] + [(x, -1) for x in minus])
-    if len(tagged) != 2 * c.p:
-        raise EdgeCountMismatch(f"oracle produced {len(tagged)} edges, expected {2 * c.p}")
-    refined = [(_refine_near_oracle(c, x, 2.0 * lab, tol, scale), lab) for x, lab in tagged]
+    if len(plus) + len(minus) != 2 * c.p:
+        raise EdgeCountMismatch(f"oracle produced {len(plus) + len(minus)} edges, expected {2 * c.p}")
+    refined = [
+        (_refine_near_oracle(c, x, 2.0 * lab, tol, scale, roots), lab)
+        for lab, roots in ((1, plus), (-1, minus))
+        for x in roots
+    ]
     refined.sort()
     bands: list[Interval] = []
     labels: list[tuple[int, int]] = []

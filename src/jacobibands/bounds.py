@@ -4,14 +4,16 @@ Every record normalizes its inequality to lhs <= rhs, so slack = rhs - lhs
 is nonnegative exactly when the bound holds. Conditional bounds carry a
 condition_met flag; when the condition fails the record is vacuously
 satisfied and marked not applicable. The reciprocal of a vanishing
-positive-part logarithm is +inf, and comparisons follow the extended
-order, so a record with rhs = +inf is always satisfied.
+positive-part logarithm is +inf, as is a power ratio past the float
+range, and comparisons follow the extended order, so a record with
+rhs = +inf is always satisfied.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .bands import BandStructure
@@ -96,11 +98,17 @@ def _record(name, anchor, lhs, rhs, condition_met=True) -> BoundRecord:
     return BoundRecord(name, anchor, lhs, rhs, condition_met, satisfied, slack)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _pow_ratio(base_num: float, pow_num: int, base_den: float, pow_den: int) -> float:
-    """base_num**pow_num / base_den**pow_den via logs; immune to overflow."""
+    """base_num**pow_num / base_den**pow_den via logs; +inf once it overflows."""
     if base_num == 0.0:
         return 0.0
-    return math.exp(pow_num * math.log(base_num) - pow_den * math.log(base_den))
+    log_ratio = pow_num * math.log(base_num) - pow_den * math.log(base_den)
+    if log_ratio > _LOG_FLOAT_MAX:
+        return math.inf
+    return math.exp(log_ratio)
 
 
 def _inv_log_pos(x: float) -> float:
@@ -308,7 +316,8 @@ def evaluate_all_bounds(
     return BoundsReport(tuple(records), c, summary, band_summary)
 
 
-def _encode_extended(x):
+def encode_extended(x):
+    """A number for JSON: +/-inf and nan as the strings "inf", "-inf" and "nan"."""
     if x is None:
         return None
     if math.isinf(x):
@@ -322,11 +331,11 @@ def record_to_jsonable(record: BoundRecord) -> dict:
     return {
         "name": record.name,
         "anchor": record.anchor,
-        "lhs": _encode_extended(record.lhs),
-        "rhs": _encode_extended(record.rhs),
+        "lhs": encode_extended(record.lhs),
+        "rhs": encode_extended(record.rhs),
         "condition_met": record.condition_met,
         "satisfied": record.satisfied,
-        "slack": _encode_extended(record.slack),
+        "slack": encode_extended(record.slack),
     }
 
 
@@ -349,7 +358,7 @@ def report_to_jsonable(report: BoundsReport) -> dict:
             "total_gap_measure": bsm.total_gap_measure,
             "max_band": bsm.max_band,
             "min_band": bsm.min_band,
-            "min_gap": _encode_extended(bsm.min_gap),
+            "min_gap": encode_extended(bsm.min_gap),
             "closed_gaps": bsm.closed_gaps,
         },
         "bounds": [record_to_jsonable(r) for r in report.records],

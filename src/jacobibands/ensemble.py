@@ -278,17 +278,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     )
 
 
-def _encode(x):
-    if x is None:
-        return None
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-    return x
-
-
 def trial_to_jsonable(t: TrialReport) -> dict:
     """Serializable trial record. Wall time is omitted on purpose: reports
     must be byte-identical across runs of the same configuration."""
@@ -298,8 +287,8 @@ def trial_to_jsonable(t: TrialReport) -> dict:
         "families": {
             name: {"passed": r.passed, "detail": r.detail} for name, r in t.families.items()
         },
-        "oracle_max_discrepancy": _encode(t.oracle_max_discrepancy),
-        "capacity_rel_error": _encode(t.capacity_rel_error),
+        "oracle_max_discrepancy": bounds_mod.encode_extended(t.oracle_max_discrepancy),
+        "capacity_rel_error": bounds_mod.encode_extended(t.capacity_rel_error),
     }
     if t.band_structure is not None:
         bs = t.band_structure
@@ -338,8 +327,8 @@ def ensemble_to_jsonable(res: EnsembleResult) -> dict:
             for name in FAMILY_NAMES
         },
         "condition_met_counts": dict(res.condition_met_counts),
-        "max_oracle_discrepancy": _encode(res.max_oracle_discrepancy),
-        "max_capacity_rel_error": _encode(res.max_capacity_rel_error),
+        "max_oracle_discrepancy": bounds_mod.encode_extended(res.max_oracle_discrepancy),
+        "max_capacity_rel_error": bounds_mod.encode_extended(res.max_capacity_rel_error),
         "all_passed": res.all_passed,
         "trials": [trial_to_jsonable(t) for t in res.trials],
     }

@@ -3,14 +3,16 @@
 Imposing periodic (phase 0) or antiperiodic (phase pi) boundary conditions
 over one period reduces the operator to a real symmetric p x p matrix whose
 eigenvalues are exactly the solutions of discriminant = +2 and -2. This
-module diagonalizes those matrices with a self-contained cyclic Jacobi
-rotation sweep so the oracle shares no code with the polynomial path.
+module finds those eigenvalues with a self-contained Householder reduction
+to tridiagonal form followed by implicit QL iterations, so the oracle
+shares no code with the discriminant and polynomial path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .coefficients import PeriodicCoefficients
 from .errors import NonConvergence
@@ -61,60 +63,113 @@ def floquet_matrix(c: PeriodicCoefficients, phase: float) -> SymMatrix:
 def symmetric_eigenvalues(
     mat: SymMatrix, tol: float = 1e-13, max_sweeps: int = 100
 ) -> tuple[float, ...]:
-    """All eigenvalues by cyclic Jacobi rotations, sorted ascending.
+    """All eigenvalues, sorted ascending: Householder reduction, then implicit QL.
 
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    tol * (diagonal mass + 1). Raises NonConvergence if the sweep budget
-    runs out, which does not happen for symmetric input.
+    One Householder pass (EISPACK tred1; Martin, Reinsch & Wilkinson,
+    Numer. Math. 11, 1968) reduces the matrix to tridiagonal form; QL
+    iterations with Wilkinson shifts (EISPACK tql1; Bowdler, Martin,
+    Reinsch & Wilkinson, Numer. Math. 11, 1968) then deflate it one
+    eigenvalue at a time. An off-diagonal counts as zero once it is at
+    most tol times the sum of the magnitudes of its two neighbouring
+    diagonal entries. max_sweeps is the QL iteration budget per
+    eigenvalue; NonConvergence is raised when it runs out, which does not
+    happen for symmetric input at the default budget.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    n = mat.order
-    if n == 1:
-        return (mat.entries[0][0],)
+    d, e = _tridiagonalize(mat)
+    _implicit_ql(d, e, tol, max_sweeps)
+    return tuple(sorted(d))
+
+
+def _tridiagonalize(mat: SymMatrix) -> tuple[list[float], list[float]]:
+    """Diagonal d and off-diagonal e (e[i] couples i and i + 1, e[-1] = 0)
+    of a tridiagonal matrix similar to mat.
+
+    Step i reflects row i onto its last subdiagonal entry with the
+    Householder matrix I - u u^T / h, and applies it to the leading i x i
+    block as the rank-two update A - u q^T - q u^T. Rows shrink to the
+    active block as the reduction moves up. Sums use math.fsum, which
+    rounds once, so the result does not depend on the Python version
+    (sum() of floats compensates from 3.12 on).
+    """
     a = [list(row) for row in mat.entries]
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    for i in range(n - 1, 0, -1):
+        row = a[i]
+        d[i] = row[i]
+        x = row[:i]
+        scale = math.fsum(map(abs, x))
+        if i == 1 or scale == 0.0:
+            e[i - 1] = x[-1]
+            continue
+        u = [v / scale for v in x]
+        h = math.fsum(v * v for v in u)
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        # p = A u / h, then q = p - (u.p / 2h) u
+        pv = [math.fsum(map(mul, a[j], u)) / h for j in range(i)]
+        k = math.fsum(map(mul, u, pv)) / (h + h)
+        q = [pj - k * uj for pj, uj in zip(pv, u)]
+        for j in range(i):
+            uj, qj = u[j], q[j]
+            a[j] = [ajk - uj * qk - qj * uk for ajk, qk, uk in zip(a[j], q, u)]
+    d[0] = a[0][0]
+    return d, e
 
-    def off_mass() -> float:
-        acc = 0.0
-        for i in range(n):
-            row = a[i]
-            for j in range(i + 1, n):
-                acc += row[j] * row[j]
-        return math.sqrt(2.0 * acc)
 
-    def diag_mass() -> float:
-        return math.sqrt(sum(a[i][i] * a[i][i] for i in range(n)))
+def _implicit_ql(d: list[float], e: list[float], tol: float, budget: int) -> None:
+    """Eigenvalues of the tridiagonal (d, e) into d, in place.
 
-    for _ in range(max_sweeps):
-        if off_mass() <= tol * (diag_mass() + 1.0):
-            break
-        for p_idx in range(n - 1):
-            for q_idx in range(p_idx + 1, n):
-                apq = a[p_idx][q_idx]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q_idx][q_idx] - a[p_idx][p_idx]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cs = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * cs
-                tau = sn / (1.0 + cs)
-                a[p_idx][p_idx] -= t * apq
-                a[q_idx][q_idx] += t * apq
-                a[p_idx][q_idx] = 0.0
-                a[q_idx][p_idx] = 0.0
-                for i in range(n):
-                    if i == p_idx or i == q_idx:
-                        continue
-                    aip = a[i][p_idx]
-                    aiq = a[i][q_idx]
-                    a[i][p_idx] = aip - sn * (aiq + tau * aip)
-                    a[p_idx][i] = a[i][p_idx]
-                    a[i][q_idx] = aiq + sn * (aip - tau * aiq)
-                    a[q_idx][i] = a[i][q_idx]
-    else:
-        raise NonConvergence(f"Jacobi sweeps did not converge in {max_sweeps} sweeps")
-
-    return tuple(sorted(a[i][i] for i in range(n)))
+    Each QL step on the unreduced block [l, m] takes the Wilkinson shift
+    from its leading 2 x 2 submatrix and chases the bulge down with plane
+    rotations.
+    """
+    n = len(d)
+    for l in range(n):
+        steps = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > tol * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if steps == budget:
+                raise NonConvergence(
+                    f"QL iteration did not converge in {budget} steps for eigenvalue {l}"
+                )
+            steps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # underflow: the block splits at i + 1
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
 
 
 def band_edges_oracle(

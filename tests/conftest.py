@@ -1,4 +1,6 @@
 import contextlib
+import math
+import random
 import time
 
 import pytest
@@ -36,6 +38,21 @@ def period2_operator():
 def free_operator(p):
     """Constant-coefficient operator: a=1, b=0; bands fill [-2, 2]."""
     return new_periodic([1.0] * p, [0.0] * p)
+
+
+def blocks(seed, index, q_lo=1):
+    """(a, b) of a period-q block repeated m times, so q(m - 1) of the p - 1 gaps close.
+
+    q uniform on q_lo..4, a log-uniform on [0.5, 2], b uniform on [-2, 2],
+    m uniform on 2..12 // q; draw for draw the generator of the benchmark's
+    touching workload.
+    """
+    rng = random.Random(f"touching:{seed}:{index}")
+    q = rng.randint(q_lo, 4)
+    a = [math.exp(rng.uniform(math.log(0.5), math.log(2.0))) for _ in range(q)]
+    b = [rng.uniform(-2.0, 2.0) for _ in range(q)]
+    m = rng.randint(2, 12 // q)
+    return a * m, b * m
 
 
 def count_exact_calls(monkeypatch, module):

@@ -1,6 +1,9 @@
 import io
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
 
 from jacobibands import (
@@ -14,9 +17,17 @@ from jacobibands import (
 from jacobibands import bands as bands_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
 from jacobibands.discriminant import DiscriminantData, eval_discriminant_stable
-from jacobibands.ensemble import EnsembleConfig, sample_operator
+from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
+from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, floquet_matrix
 
-from conftest import ACCEPTANCE_CONFIG, count_exact_calls, count_float_calls, free_operator, period2_operator
+from conftest import (
+    ACCEPTANCE_CONFIG,
+    blocks,
+    count_exact_calls,
+    count_float_calls,
+    free_operator,
+    period2_operator,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -177,6 +188,54 @@ def test_oracle_fallback_agrees_with_monotone_solver():
         for b0, b1 in zip(bs0.bands, bs1.bands):
             assert abs(b0.lo - b1.lo) <= tol
             assert abs(b0.hi - b1.hi) <= tol
+
+
+def test_oracle_fallback_keeps_touching_edges():
+    # Repeated blocks close most gaps: each touching edge is a double
+    # Floquet eigenvalue with no sign change of D -/+ 2 near it. Widening
+    # the bracket until some sign change appeared refined such an edge
+    # onto another edge's crossing (81 of these 300 raised "edges carry
+    # the same discriminant sign").
+    for k in range(300):
+        d = build_discriminant(new_periodic(*blocks(0, k, q_lo=3)))
+        bs0 = band_structure(d)
+        bs1 = band_structure(d, use_oracle=True)
+        tol = ORACLE_MATCH_RTOL * max(1.0, bs0.s)
+        for x0, x1 in zip(bs0.edges, bs1.edges):
+            assert abs(x0 - x1) <= tol
+
+
+def long_block(index):
+    """A block of period q repeated to a period p in 32..35, above TRUSTED_PERIOD."""
+    rng = random.Random(f"long-blocks:{index}")
+    p = rng.randint(32, 35)
+    q = rng.choice([q for q in (1, 2, 3, 4) if p % q == 0])
+    a = [math.exp(rng.uniform(math.log(0.5), math.log(2.0))) for _ in range(q)]
+    b = [rng.uniform(-2.0, 2.0) for _ in range(q)]
+    return a * (p // q), b * (p // q)
+
+
+def numpy_edges(c):
+    edges = []
+    for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
+        edges.extend(np.linalg.eigvalsh(np.array(floquet_matrix(c, phase).entries)))
+    return sorted(edges)
+
+
+def test_long_period_blocks_pass_every_family():
+    # Above TRUSTED_PERIOD the edges come from the oracle fallback; 31 of
+    # these 40 failed the bands family and 5 raised OverflowError in the
+    # min_band_upper bound.
+    for k in range(40):
+        c = new_periodic(*long_block(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t = run_trial(c)
+        assert t.all_passed, (k, {n: r.detail for n, r in t.families.items() if not r.passed})
+        bs = t.band_structure
+        tol = ORACLE_MATCH_RTOL * max(1.0, bs.s)
+        for x, y in zip(bs.edges, numpy_edges(c)):
+            assert abs(x - y) <= tol
 
 
 def test_long_period_uses_oracle_automatically():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -11,12 +12,14 @@ from jacobibands import (
     corollary_min_band,
     evaluate_all_bounds,
     new_periodic,
+    run_trial,
     theorem_log_sum_lower,
     theorem_log_sum_upper,
 )
 from jacobibands.bounds import (
     CONDITIONAL_NAMES,
     UNCONDITIONAL_NAMES,
+    _pow_ratio,
     report_to_json,
     report_to_jsonable,
 )
@@ -238,3 +241,20 @@ def test_json_serialization_encodes_infinity():
     assert parsed["operator"]["p"] == 2
     names = [r["name"] for r in parsed["bounds"]]
     assert len(set(names)) == 13
+
+
+def test_pow_ratio_overflow_is_infinite():
+    assert _pow_ratio(1.0, 40, 1e-15, 39) == math.inf
+    assert _pow_ratio(2.0, 3, 4.0, 1) == pytest.approx(2.0)
+
+
+def test_tiny_gaps_at_long_period_give_infinite_rhs():
+    # Every gap of a constant block closes to a float-sized remainder, and
+    # 4 * A^p / g^(p - 1) overflows for such a g at p = 32.
+    c = new_periodic([1.2593511100681634] * 32, [0.2090718779417866] * 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        t = run_trial(c)
+    assert t.all_passed
+    rec = t.bounds.by_name("min_band_upper")
+    assert rec.rhs == math.inf and rec.satisfied

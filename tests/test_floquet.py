@@ -11,9 +11,10 @@ from jacobibands import (
     new_periodic,
     symmetric_eigenvalues,
 )
-from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, SymMatrix
+from jacobibands.ensemble import EnsembleConfig, sample_operator
+from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, SymMatrix, _tridiagonalize
 
-from conftest import free_operator, period2_operator
+from conftest import blocks, free_operator, period2_operator
 
 
 def test_matrix_period2_periodic():
@@ -80,6 +81,49 @@ def test_eigensolver_budget_exhaustion():
     sym = tuple(tuple(0.5 * (raw[i][j] + raw[j][i]) for j in range(n)) for i in range(n))
     with pytest.raises(NonConvergence):
         symmetric_eigenvalues(SymMatrix(sym), tol=1e-15, max_sweeps=1)
+
+
+def assert_matches_numpy(mat):
+    mine = symmetric_eigenvalues(mat)
+    theirs = np.linalg.eigvalsh(np.array(mat.entries))
+    tol = 1e-13 * max(1.0, float(theirs[-1] - theirs[0]))
+    assert len(mine) == len(theirs)
+    assert list(mine) == sorted(mine)
+    for x, y in zip(mine, theirs):
+        assert abs(x - y) <= tol
+
+
+def test_eigenvalues_of_repeated_blocks_match_numpy():
+    # A period-q block repeated m times closes q(m - 1) gaps: the Floquet
+    # matrices carry eigenvalues of multiplicity up to m.
+    for k in range(120):
+        a, b = blocks(1, k)
+        c = new_periodic(a, b)
+        for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
+            assert_matches_numpy(floquet_matrix(c, phase))
+
+
+@pytest.mark.parametrize("p", [40, 60])
+def test_eigenvalues_at_long_periods_match_numpy(p):
+    c = sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), 0)
+    for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
+        assert_matches_numpy(floquet_matrix(c, phase))
+
+
+def test_eigenvalues_of_split_matrix_match_numpy():
+    # Two dense blocks with nothing between them: the reduction leaves a
+    # zero off-diagonal in the middle, and QL must deflate there and solve
+    # each block on its own.
+    rng = random.Random(7)
+    n, half = 8, 4
+    m = [[0.0] * n for _ in range(n)]
+    for lo, hi in ((0, half), (half, n)):
+        for i in range(lo, hi):
+            for j in range(lo, i + 1):
+                m[i][j] = m[j][i] = rng.uniform(-3.0, 3.0)
+    mat = SymMatrix(tuple(tuple(row) for row in m))
+    assert_matches_numpy(mat)
+    assert _tridiagonalize(mat)[1][half - 1] == 0.0
 
 
 def test_oracle_period2():
