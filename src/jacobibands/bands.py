@@ -1,16 +1,20 @@
 """Band-gap structure as the preimage of [-2, 2] under the discriminant.
 
-Between consecutive critical points the discriminant is strictly monotone
-and sweeps across the full strip [-2, 2] exactly once, so every such piece
-carries exactly one band. Solving discriminant = +2 and = -2 per piece
+The knots are the p - 1 Dirichlet eigenvalues, one in the closure of
+each gap, where the discriminant has a sign known from interlacing; with
+the two ends of the padded Gershgorin interval they cut the line into p
+pieces, each holding exactly one band. On a piece, discriminant - 2 and
+discriminant + 2 change sign exactly once, so solving both per piece
 (`polynomial.float_root`, then a secant polish) yields the 2p edges,
-including touching bands. Each knot is evaluated once, and when the float
-value at a critical point sits within evaluation noise of +/-2, one exact
-rational evaluation arbitrates for both neighboring pieces between a
-genuine touch (both edges snap onto the critical point, gap length
-exactly zero) and a microscopic open gap (refined as usual). Edges around
-narrow open gaps, whose flat crossings would otherwise scatter by noise
-over slope, are re-refined exactly as well.
+including touching bands. A knot whose value sits within evaluation noise
+of the gap's target +/-2 is either a touching point, where the slope is
+in noise too, or the edge of an open gap, which is moved to the gap's
+critical point. At a knot of either kind, one exact rational evaluation
+arbitrates for both neighboring pieces between a genuine touch (both
+edges snap onto the knot, gap length exactly zero) and a microscopic
+open gap (refined as usual). Edges around narrow open gaps, whose flat
+crossings would otherwise scatter by noise over slope, are re-refined
+exactly as well.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from .discriminant import (
     TRUSTED_PERIOD,
     DiscriminantData,
     eval_discriminant_bounded,
+    eval_discriminant_slope,
     eval_discriminant_stable,
     exact_root,
+    gap_sign,
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
@@ -95,12 +101,13 @@ class BandStructure:
 
 
 def _crossing_beyond_resolution(c, x, target, err_bound):
-    """Exact arbitration at a critical point whose float value sits in noise.
+    """Exact arbitration at a knot, flat to within noise, whose float value sits in noise.
 
     Evaluates the discriminant minus target exactly. A value at the target
-    or on the band side means a touching point (the critical point itself
-    carries position error ~1e-12, which perturbs its value only at order
-    curvature * 1e-24). A value strictly beyond the target means an open
+    or on the band side means a touching point (the knot, a Dirichlet
+    eigenvalue or a searched critical point, carries position error
+    ~1e-12 at most, which perturbs its value only at order curvature *
+    1e-24). A value strictly beyond the target means an open
     gap, but the float refiner can only place its edges to within the
     evaluation noise; gaps whose exact overshoot is inside that noise are
     reported as touching. Returns the corrected sign of value - target,
@@ -113,6 +120,11 @@ def _crossing_beyond_resolution(c, x, target, err_bound):
     return 1.0 if target > 0 else -1.0
 
 
+def _in_noise(g, err, target):
+    """Whether the residual g = value - target is within the evaluation noise err."""
+    return abs(g) <= 4.0 * err + 1e-14 * (1.0 + abs(target))
+
+
 def _knot_residual(c, x, value, err, target, critical):
     """value - target at knot x, sign-corrected where it sits in noise.
 
@@ -121,7 +133,7 @@ def _knot_residual(c, x, value, err, target, critical):
     sides snap to x (touching bands, gap length exactly zero).
     """
     g = value - target
-    if critical and abs(g) <= 4.0 * err + 1e-14 * (1.0 + abs(target)):
+    if critical and _in_noise(g, err, target):
         corrected = _crossing_beyond_resolution(c, x, target, err)
         if corrected is None:
             return None
@@ -129,11 +141,61 @@ def _knot_residual(c, x, value, err, target, critical):
     return g
 
 
-def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critical, tol):
-    """Unique solution of discriminant = target on a monotone piece.
+def _gap_knot(c, x, value, err, s, left, right, tol):
+    """Knot of a gap with sign s, from its Dirichlet eigenvalue x.
 
-    gl and gr are the knot residuals (`_knot_residual`) at the piece ends;
-    None at a critical end means the edge is that critical point.
+    left and right are the neighbouring Dirichlet eigenvalues (or the ends
+    of the search interval). Returns (knot, residual for target 2s,
+    residual for target -2s). The second residual takes its sign from
+    interlacing, never from the float value. A value clearly beyond 2s
+    keeps the knot. Otherwise x is a touching point, where the slope is in
+    noise as well, or an edge of an open gap, which the solvers of both
+    neighbouring pieces could mistake for their own crossing; the knot
+    then moves to the gap's critical point.
+    """
+    target = 2.0 * s
+    g = value - target
+    if s * g <= 0.0 or _in_noise(g, err, target):
+        _, _, slope, slope_err = eval_discriminant_slope(c, x)
+        if abs(slope) > 4.0 * slope_err:
+            x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
+            value, err = eval_discriminant_bounded(c, x)
+        g = _knot_residual(c, x, value, err, target, True)
+    return x, g, s * max(abs(value + target), 1e-300)
+
+
+def _gap_critical_point(c, x, s, slope, stop, tol):
+    """Critical point of the gap with sign s, searched from x toward stop.
+
+    s * D grows from x toward stop, the next Dirichlet eigenvalue (or end
+    of the search interval) on that side. Between them a point is short
+    of the gap's critical point exactly while D' keeps its sign at x and D
+    keeps the gap sign: past the critical point D' turns, and where it
+    turns back, beyond the next critical point, D has the other gap's
+    sign. So the indicator below changes sign once on [x, stop], at the
+    critical point, and stop is beyond it by interlacing.
+    """
+    sense = 1.0 if s * slope > 0.0 else -1.0
+
+    def short(t):
+        value, _, d, _ = eval_discriminant_slope(c, t)
+        if s * value > 0.0:
+            return sense * s * d
+        return -max(abs(d), 1e-300)
+
+    f_x, f_stop = abs(slope), -abs(slope)
+    if x < stop:
+        lo, f_lo, hi, f_hi = float_root(short, x, f_x, stop, f_stop, tol)
+    else:
+        lo, f_lo, hi, f_hi = float_root(short, stop, f_stop, x, f_x, tol)
+    return lo if f_lo >= 0.0 else hi
+
+
+def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critical, tol):
+    """Unique solution of discriminant = target on a piece between knots.
+
+    gl and gr are the knot residuals (`_gap_knot`) at the piece ends; None
+    at an interior knot means the edge is that knot (touching bands).
     """
     if gl is None or gl == 0.0:
         return xl
@@ -213,7 +275,12 @@ def _exact_edge_position(c, x, target, inner, span):
 
 
 def _sharpen_flat_gap_edges(c, bands, labels):
-    """Re-refine the two edges around every narrow open gap."""
+    """Re-refine the two edges around every narrow open gap.
+
+    Raises EdgeCountMismatch when a sharpened edge crosses the other edge
+    of its band: the float edge it passed is then wrong by more than the
+    band is long.
+    """
     cut = _FLAT_GAP_TRIGGER * max(1.0, bands[-1].hi - bands[0].lo)
     out = list(bands)
     for n in range(len(bands) - 1):
@@ -225,6 +292,11 @@ def _sharpen_flat_gap_edges(c, bands, labels):
         lo_edge = _exact_edge_position(c, out[n + 1].lo, 2.0 * labels[n + 1][0], inner, gap)
         out[n] = Interval(out[n].lo, hi_edge)
         out[n + 1] = Interval(lo_edge, out[n + 1].hi)
+    for n, band in enumerate(out):
+        if band.lo > band.hi:
+            raise EdgeCountMismatch(
+                f"band {n} inverted by exact edge sharpening: lower edge {band.lo} > upper edge {band.hi}"
+            )
     return out
 
 
@@ -274,13 +346,12 @@ def band_structure(
     Gershgorin width). Exactly p bands are always returned; closed gaps
     appear as zero-length gaps between them, never as merged bands.
 
-    use_oracle=None lets the data decide: the piecewise-monotone solver
-    needs trusted critical points, otherwise Floquet eigenvalues supply
-    the edge brackets.
+    use_oracle=None solves on the Dirichlet pieces up to TRUSTED_PERIOD;
+    beyond it Floquet eigenvalues supply the edge brackets.
     """
     c = d.coeffs
     if use_oracle is None:
-        use_oracle = not d.expanded_ok or c.p > TRUSTED_PERIOD
+        use_oracle = c.p > TRUSTED_PERIOD
     lo_bound, hi_bound = search_interval(c)
     if tol is None:
         tol = 1e-12 * max(1.0, hi_bound - lo_bound)
@@ -291,17 +362,21 @@ def band_structure(
         return _band_structure_from_oracle(c, tol, closed_tol)
 
     p = c.p
-    criticals = d.critical_points
-    if len(criticals) != p - 1:
-        raise EdgeCountMismatch(
-            f"{len(criticals)} critical points for period {p}; expected {p - 1}"
-        )
-    knots = [lo_bound, *criticals, hi_bound]
-    values = [eval_discriminant_bounded(c, x) for x in knots]
-    plus, minus = (
-        [_knot_residual(c, x, v, e, target, 0 < k < p) for k, (x, (v, e)) in enumerate(zip(knots, values))]
-        for target in (2.0, -2.0)
-    )
+    if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
+        raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
+    seeds = (lo_bound, *d.knots, hi_bound)
+    v_lo, _ = eval_discriminant_bounded(c, lo_bound)
+    v_hi, _ = eval_discriminant_bounded(c, hi_bound)
+    knots, plus, minus = [lo_bound], [v_lo - 2.0], [v_lo + 2.0]
+    for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1):
+        s = gap_sign(p, j)
+        x, near, far = _gap_knot(c, x, value, err, s, seeds[j - 1], seeds[j + 1], tol)
+        knots.append(x)
+        plus.append(near if s > 0.0 else far)
+        minus.append(far if s > 0.0 else near)
+    knots.append(hi_bound)
+    plus.append(v_hi - 2.0)
+    minus.append(v_hi + 2.0)
     bands: list[Interval] = []
     labels: list[tuple[int, int]] = []
     for n in range(p):

@@ -1,11 +1,18 @@
 """Discriminant of a periodic Jacobi operator.
 
-The discriminant is the trace of the one-period transfer-matrix product,
-a degree-p polynomial in the spectral parameter. It is built here in two
-redundant forms: expanded monomial coefficients (needed for Sturm-based
-root isolation) and a numerically stable point evaluation through the
-2x2 matrix product. An exact rational evaluator backs up the float path
-where cancellation would otherwise dominate.
+The discriminant D is the trace of the one-period transfer-matrix
+product, a degree-p polynomial in the spectral parameter. The band
+pipeline never expands it: it evaluates D stably through the 2x2 matrix
+product (with a running error bound, and in forward mode with its
+derivative), and takes its knots from the Dirichlet eigenvalues, the
+eigenvalues of the operator with site 0 deleted. By Cauchy interlacing
+the j-th of these p - 1 values lies in the closure of the j-th gap,
+where D has the sign (-1)^(p-j) and |D| >= 2 (van Moerbeke, Invent.
+Math. 37, 1976), so they cut the line into p pieces holding one band
+each. The monomial expansion, with its Sturm-isolated roots and critical
+points, is still available on demand for inspection and for long-period
+diagnostics. An exact rational evaluator backs up the float path where
+cancellation would otherwise dominate.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once (and is cached) to integer
@@ -28,14 +35,15 @@ from fractions import Fraction
 
 from .coefficients import PeriodicCoefficients, offdiag_product, scalar_summary
 from .errors import IndexOutOfRange, JacobiBandsError, PropertyViolation
+from .floquet import tridiagonal_eigenvalues
 from .polynomial import Poly, real_roots_in
 
 # unit roundoff with headroom; used by the running error bound
 _U = 2.3e-16
 
-# Beyond this period the expanded coefficients are not trusted for root
-# isolation and band extraction falls back to stable evaluation with
-# Floquet brackets.
+# Beyond this period the float discriminant at the knots is not trusted:
+# build_discriminant only warns when a check fails, and band extraction
+# falls back to stable evaluation with Floquet brackets.
 TRUSTED_PERIOD = 30
 
 
@@ -72,23 +80,43 @@ def _matmul(x, y):
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """Expanded discriminant plus everything needed for stable re-evaluation.
+    """The operator plus the knots that split its spectrum into bands.
 
-    critical_points are the roots of the derivative inside the padded
-    Gershgorin interval, sorted. expanded_ok records whether the monomial
-    coefficients passed all structural checks; when False the band solver
-    must not trust them.
+    knots are the p - 1 Dirichlet eigenvalues, sorted; knot_values holds
+    `eval_discriminant_bounded` at each, as (value, error bound). The
+    monomial expansion (delta, leading, critical_points: the roots of the
+    derivative inside the padded Gershgorin interval, sorted; expanded_ok:
+    whether the expansion passed its structural checks) is computed on
+    first access; no pipeline stage reads it.
     """
 
-    delta: Poly
-    leading: float
     coeffs: PeriodicCoefficients
-    critical_points: tuple[float, ...]
-    expanded_ok: bool
+    knots: tuple[float, ...]
+    knot_values: tuple[tuple[float, float], ...]
 
     @property
     def p(self) -> int:
         return self.coeffs.p
+
+    @functools.cached_property
+    def _expansion(self) -> tuple[Poly, float, tuple[float, ...], tuple[str, ...]]:
+        return _expand(self.coeffs)
+
+    @property
+    def delta(self) -> Poly:
+        return self._expansion[0]
+
+    @property
+    def leading(self) -> float:
+        return self._expansion[1]
+
+    @property
+    def critical_points(self) -> tuple[float, ...]:
+        return self._expansion[2]
+
+    @property
+    def expanded_ok(self) -> bool:
+        return not self._expansion[3]
 
 
 def search_interval(c: PeriodicCoefficients, pad_fraction: float = 0.01) -> tuple[float, float]:
@@ -141,6 +169,42 @@ def eval_discriminant_bounded(c: PeriodicCoefficients, t: float) -> tuple[float,
     return value, e00 + e11 + _U * abs(value)
 
 
+def eval_discriminant_slope(c: PeriodicCoefficients, t: float) -> tuple[float, float, float, float]:
+    """(value, bound, slope, bound): D and D' at t by a forward-mode transfer product.
+
+    Each step T = [[(t - b_n)/a_n, -a_{n-1}/a_n], [1, 0]] has the derivative
+    T' = [[1/a_n, 0], [0, 0]], so the product's derivative follows
+    (T M)' = T' M + T M' in the same loop. Both bounds are running
+    forward-error bounds built like `eval_discriminant_bounded`'s; the one
+    on D' also carries the error of M through T'.
+    """
+    a, b = c.a, c.b
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    d00 = d01 = d10 = d11 = 0.0
+    e00 = e01 = e10 = e11 = 0.0
+    f00 = f01 = f10 = f11 = 0.0
+    for n in range(c.p):
+        inv = 1.0 / a[n]
+        t00 = (t - b[n]) / a[n]
+        t01 = -a[n - 1] / a[n]
+        ai, at0, at1 = abs(inv), abs(t00), abs(t01)
+        n00 = t00 * m00 + t01 * m10
+        n01 = t00 * m01 + t01 * m11
+        s00 = inv * m00 + t00 * d00 + t01 * d10
+        s01 = inv * m01 + t00 * d01 + t01 * d11
+        g00 = at0 * e00 + at1 * e10 + 4.0 * _U * (at0 * abs(m00) + at1 * abs(m10))
+        g01 = at0 * e01 + at1 * e11 + 4.0 * _U * (at0 * abs(m01) + at1 * abs(m11))
+        h00 = ai * e00 + at0 * f00 + at1 * f10 + 5.0 * _U * (ai * abs(m00) + at0 * abs(d00) + at1 * abs(d10))
+        h01 = ai * e01 + at0 * f01 + at1 * f11 + 5.0 * _U * (ai * abs(m01) + at0 * abs(d01) + at1 * abs(d11))
+        m00, m01, m10, m11 = n00, n01, m00, m01
+        d00, d01, d10, d11 = s00, s01, d00, d01
+        e00, e01, e10, e11 = g00, g01, e00, e01
+        f00, f01, f10, f11 = h00, h01, f00, f01
+    value = m00 + m11
+    slope = d00 + d11
+    return value, e00 + e11 + _U * abs(value), slope, f00 + f11 + _U * abs(slope)
+
+
 @functools.lru_cache(maxsize=4)
 def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(den, A, B) with a = A / den and b = B / den exactly.
@@ -155,8 +219,9 @@ def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[
     return den, tuple(nums[: c.p]), tuple(nums[c.p :])
 
 
+@functools.lru_cache(maxsize=4)
 def offdiag_product_exact(c: PeriodicCoefficients) -> Fraction:
-    """Exact product of the off-diagonal floats as a rational."""
+    """Exact product of the off-diagonal floats as a rational, cached like `_integer_form`."""
     den, a, _ = _integer_form(c)
     return Fraction(math.prod(a), den**c.p)
 
@@ -259,16 +324,61 @@ def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, rtol=Fraction
     return t, v
 
 
-def build_discriminant(c: PeriodicCoefficients, root_tol: float | None = None) -> DiscriminantData:
-    """Expand the discriminant and verify its structural properties.
+def dirichlet_eigenvalues(c: PeriodicCoefficients) -> tuple[float, ...]:
+    """Eigenvalues of the operator with site 0 deleted, sorted.
 
-    Checks, each within float tolerance:
-      degree equals p; leading coefficient equals 1/(a_1...a_p);
-      p distinct real roots; |value| >= 2 at every critical point.
+    The remaining block is tridiagonal already: diagonal b_2..b_p,
+    off-diagonal a_2..a_{p-1}.
+    """
+    return tridiagonal_eigenvalues(c.b[1:], c.a[1 : c.p - 1])
 
-    Raises PropertyViolation when a check fails for p <= TRUSTED_PERIOD;
-    for longer periods failures downgrade to a warning and the data is
-    marked expanded_ok=False.
+
+def gap_sign(p: int, j: int) -> float:
+    """Sign of the discriminant on the j-th gap (1-based) of a period-p operator."""
+    return 1.0 if (p - j) % 2 == 0 else -1.0
+
+
+def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
+    """Dirichlet knots of the discriminant, checked against interlacing.
+
+    At the j-th Dirichlet eigenvalue the discriminant must have the sign
+    (-1)^(p-j) and |D| >= 2, each within the float error bound.
+
+    Raises PropertyViolation when the check fails for p <= TRUSTED_PERIOD.
+    For longer periods failures, and failures of the expanded
+    discriminant's own checks, downgrade to a warning.
+    """
+    p = c.p
+    knots = dirichlet_eigenvalues(c)
+    values = tuple(eval_discriminant_bounded(c, x) for x in knots)
+    problems: list[str] = []
+    for j, (x, (value, err)) in enumerate(zip(knots, values), start=1):
+        s = gap_sign(p, j)
+        if s * value < 2.0 - (1e-9 + 4.0 * err):
+            problems.append(
+                f"D({x}) = {value} at Dirichlet eigenvalue {j} of {p - 1}; "
+                f"expected sign {s:+.0f} and |D| >= 2"
+            )
+            break
+    data = DiscriminantData(coeffs=c, knots=knots, knot_values=values)
+    if p <= TRUSTED_PERIOD:
+        if problems:
+            raise PropertyViolation("; ".join(problems))
+    else:
+        problems.extend(data._expansion[3])
+        if problems:
+            message = "; ".join(problems)
+            warnings.warn(f"expanded discriminant not trusted for p={p}: {message}", RuntimeWarning, stacklevel=2)
+    return data
+
+
+def _expand(c: PeriodicCoefficients) -> tuple[Poly, float, tuple[float, ...], tuple[str, ...]]:
+    """Monomial expansion of the discriminant and its structural checks.
+
+    Checks, each within float tolerance: degree equals p; leading
+    coefficient equals 1/(a_1...a_p); p distinct real roots; |value| >= 2
+    at every critical point. Returns (delta, leading coefficient,
+    critical points, failed checks).
     """
     p = c.p
     prod = transfer_matrix(c, p).entries
@@ -277,8 +387,7 @@ def build_discriminant(c: PeriodicCoefficients, root_tol: float | None = None) -
     delta = prod[0][0] + prod[1][1]
 
     lo, hi = search_interval(c)
-    if root_tol is None:
-        root_tol = 1e-12 * max(1.0, hi - lo)
+    root_tol = 1e-12 * max(1.0, hi - lo)
 
     problems: list[str] = []
     if delta.degree != p:
@@ -321,21 +430,7 @@ def build_discriminant(c: PeriodicCoefficients, root_tol: float | None = None) -
                             break
         except JacobiBandsError as exc:
             problems.append(f"root isolation failed: {exc}")
-
-    ok = not problems
-    if problems:
-        message = "; ".join(problems)
-        if p <= TRUSTED_PERIOD:
-            raise PropertyViolation(message)
-        warnings.warn(f"expanded discriminant not trusted for p={p}: {message}", RuntimeWarning, stacklevel=2)
-
-    return DiscriminantData(
-        delta=delta,
-        leading=leading,
-        coeffs=c,
-        critical_points=criticals,
-        expanded_ok=ok,
-    )
+    return delta, leading, criticals, tuple(problems)
 
 
 def chebyshev_scale(c: PeriodicCoefficients) -> float:

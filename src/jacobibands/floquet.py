@@ -3,9 +3,18 @@
 Imposing periodic (phase 0) or antiperiodic (phase pi) boundary conditions
 over one period reduces the operator to a real symmetric p x p matrix whose
 eigenvalues are exactly the solutions of discriminant = +2 and -2. This
-module finds those eigenvalues with a self-contained Householder reduction
-to tridiagonal form followed by implicit QL iterations, so the oracle
-shares no code with the discriminant and polynomial path.
+module finds those eigenvalues with a Householder reduction to tridiagonal
+form followed by implicit QL iterations.
+
+The QL kernel (`tridiagonal_eigenvalues`) is shared: the band path uses
+it for the Dirichlet eigenvalues that serve as its knots. The oracle still
+checks the band edges independently: it builds its own boundary-condition
+matrices, wrap entries included, reduces them with its own Householder
+pass, and takes their eigenvalues as the edges, while the band path gets
+its edges by solving discriminant = +/-2 on the transfer-product
+evaluation and uses eigenvalues only to bracket, each knot checked by the
+sign of the discriminant there. A fault in the shared kernel shows either
+as a failed knot check or as an edge mismatch.
 """
 
 from __future__ import annotations
@@ -75,9 +84,22 @@ def symmetric_eigenvalues(
     eigenvalue; NonConvergence is raised when it runs out, which does not
     happen for symmetric input at the default budget.
     """
+    d, e = _tridiagonalize(mat)
+    return tridiagonal_eigenvalues(d, e[:-1], tol, max_sweeps)
+
+
+def tridiagonal_eigenvalues(
+    d, e, tol: float = 1e-13, max_sweeps: int = 100
+) -> tuple[float, ...]:
+    """All eigenvalues, sorted ascending, of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e (e[i] couples i and i + 1, so
+    len(e) == len(d) - 1), by implicit QL. tol and max_sweeps are as in
+    `symmetric_eigenvalues`.
+    """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    d, e = _tridiagonalize(mat)
+    d = list(d)
+    e = [*e, 0.0][: len(d)]
     _implicit_ql(d, e, tol, max_sweeps)
     return tuple(sorted(d))
 

@@ -339,7 +339,8 @@ def real_roots_in(x: Poly, lo: float, hi: float, tol: float | None = None) -> li
         return []
 
     chain = _sturm_chain(x)
-    cs = list(x.coeffs)
+    # signs from the chain's own first member, so that they agree with the counts
+    cs = chain[0]
 
     results: list[Root] = []
     if _eval(cs, lo) == 0.0:

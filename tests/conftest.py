@@ -55,6 +55,18 @@ def blocks(seed, index, q_lo=1):
     return a * m, b * m
 
 
+def numpy_edges(c):
+    """The 2p band edges of c, sorted: numpy eigenvalues of its two Floquet matrices."""
+    import numpy as np
+
+    from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, floquet_matrix
+
+    edges = []
+    for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
+        edges.extend(np.linalg.eigvalsh(np.array(floquet_matrix(c, phase).entries)))
+    return sorted(edges)
+
+
 def count_exact_calls(monkeypatch, module):
     """Count the calls module makes to scaled_trace_exact; returns a one-item list."""
     calls = [0]

@@ -3,11 +3,11 @@ import math
 import random
 import warnings
 
-import numpy as np
 import pytest
 
 from jacobibands import (
     EdgeCountMismatch,
+    Poly,
     band_structure,
     bands_to_csv,
     build_discriminant,
@@ -15,10 +15,10 @@ from jacobibands import (
     new_periodic,
 )
 from jacobibands import bands as bands_mod
+from jacobibands import discriminant as discriminant_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
 from jacobibands.discriminant import DiscriminantData, eval_discriminant_stable
 from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
-from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, floquet_matrix
 
 from conftest import (
     ACCEPTANCE_CONFIG,
@@ -26,6 +26,7 @@ from conftest import (
     count_exact_calls,
     count_float_calls,
     free_operator,
+    numpy_edges,
     period2_operator,
 )
 
@@ -215,13 +216,6 @@ def long_block(index):
     return a * (p // q), b * (p // q)
 
 
-def numpy_edges(c):
-    edges = []
-    for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
-        edges.extend(np.linalg.eigvalsh(np.array(floquet_matrix(c, phase).entries)))
-    return sorted(edges)
-
-
 def test_long_period_blocks_pass_every_family():
     # Above TRUSTED_PERIOD the edges come from the oracle fallback; 31 of
     # these 40 failed the bands family and 5 raised OverflowError in the
@@ -250,15 +244,10 @@ def test_long_period_uses_oracle_automatically():
 
 
 def test_corrupted_critical_points_raise():
-    c = period2_operator()
-    d = build_discriminant(c)
-    broken = DiscriminantData(
-        delta=d.delta,
-        leading=d.leading,
-        coeffs=d.coeffs,
-        critical_points=(),
-        expanded_ok=True,
-    )
+    # The band solver reads the Dirichlet knots, not the critical points of
+    # the expansion: a knot list of the wrong length must not pass.
+    d = build_discriminant(period2_operator())
+    broken = DiscriminantData(coeffs=d.coeffs, knots=(), knot_values=())
     with pytest.raises(EdgeCountMismatch):
         bands_fn(broken)
 
@@ -321,3 +310,82 @@ def test_one_exact_arbitration_per_closed_gap(monkeypatch):
     bs = band_structure(build_discriminant(free_operator(6)))
     assert all(bs.closed_gap_flags) and len(bs.gaps) == 5
     assert calls[0] <= 5
+
+
+def test_period2_open_gap_edge_knot_is_exact():
+    # The Dirichlet eigenvalue b_2 = 2 is itself the lower edge of the
+    # second band, where D = -2 exactly: the knot moves to the gap's
+    # critical point 1, so neither piece mistakes it for its own crossing.
+    d = build_discriminant(period2_operator())
+    assert d.knots == (2.0,)
+    bs = band_structure(d)
+    for x, y in zip(bs.edges, (1.0 - SQRT5, 0.0, 2.0, 1.0 + SQRT5)):
+        assert abs(x - y) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 17, 18])
+def test_thin_band_beside_a_knot(k):
+    # p = 20 operators with a band below float resolution next to a knot;
+    # a critical-point search that crossed it would pair the wrong edges.
+    c = sample_operator(EnsembleConfig(seed=1, p_min=20, p_max=20), k)
+    bs = band_structure(build_discriminant(c))
+    for x, y in zip(bs.edges, numpy_edges(c)):
+        assert abs(x - y) <= 1e-12 * max(1.0, bs.s)
+
+
+# Operator 10 of the p = 30 set gets a band inverted by exact sharpening
+# (see test_inverted_band_is_a_typed_failure).
+@pytest.mark.parametrize("p, skip", [(24, ()), (30, (10,))])
+def test_periods_below_the_trusted_limit(p, skip):
+    # build_discriminant raised PropertyViolation for 5 of these 20
+    # operators at p = 24 and for all 20 at p = 30.
+    cfg = EnsembleConfig(seed=1, p_min=p, p_max=p)
+    for k in range(20):
+        if k in skip:
+            continue
+        c = sample_operator(cfg, k)
+        t = run_trial(c)
+        for name in ("discriminant", "bands", "oracle", "capacity"):
+            assert t.families[name].passed, (k, name, t.families[name].detail)
+        bs = t.band_structure
+        for x, y in zip(bs.edges, numpy_edges(c)):
+            assert abs(x - y) <= ORACLE_MATCH_RTOL * max(1.0, bs.s)
+
+
+@pytest.mark.parametrize(
+    "cfg, k",
+    [
+        (EnsembleConfig(seed=1, p_min=30, p_max=30), 10),
+        (EnsembleConfig(seed=1, p_min=60, p_max=60, a_lo=0.5, a_hi=2.0), 7),
+        (EnsembleConfig(seed=1, p_min=60, p_max=60, a_lo=0.5, a_hi=2.0), 15),
+    ],
+)
+def test_inverted_band_is_a_typed_failure(cfg, k):
+    # Exact sharpening moved one edge of a band below float resolution past
+    # its float partner; the negative band length then escaped run_trial as
+    # "math domain error" from the bounds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        t = run_trial(sample_operator(cfg, k))
+    assert not t.families["bands"].passed
+    assert "inverted by exact edge sharpening" in t.families["bands"].detail
+
+
+def test_short_blocks_pass_every_family():
+    # 28 of 3,000 such blocks at seeds 1-2 failed with the expanded
+    # discriminant: wrong edges, or a wrong root count.
+    for k in range(600):
+        c = new_periodic(*blocks(1, k))
+        t = run_trial(c)
+        assert t.all_passed, (k, {n: r.detail for n, r in t.families.items() if not r.passed})
+
+
+def test_pipeline_does_not_expand_the_discriminant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomial expansion on the pipeline")
+
+    monkeypatch.setattr(discriminant_mod, "real_roots_in", refuse)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    for k in range(200):
+        t = run_trial(sample_operator(ACCEPTANCE_CONFIG, k))
+        assert t.all_passed, (k, {n: r.detail for n, r in t.families.items() if not r.passed})

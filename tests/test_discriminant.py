@@ -7,15 +7,18 @@ import pytest
 from jacobibands import (
     IndexOutOfRange,
     Poly,
+    PropertyViolation,
     build_discriminant,
     eval_discriminant_exact,
     eval_discriminant_stable,
     new_periodic,
     transfer_matrix,
 )
+from jacobibands import discriminant as discriminant_mod
 from jacobibands.discriminant import (
     chebyshev_scale,
     eval_discriminant_bounded,
+    eval_discriminant_slope,
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
@@ -260,3 +263,46 @@ def test_integer_kernel_matches_fraction_oracle():
             assert Fraction(*scaled_trace_exact(c, t)) == fraction_scaled_trace(c, t), (c.p, t)
     for c in operators:
         assert offdiag_product_exact(c) == math.prod(Fraction(x) for x in c.a)
+
+
+def test_slope_evaluation_matches_the_expansion():
+    cfg = EnsembleConfig(trials=10, seed=11)
+    for k in range(cfg.trials):
+        c = sample_operator(cfg, k)
+        d = build_discriminant(c)
+        lo, hi = search_interval(c)
+        derivative = d.delta.derivative()
+        for i in range(9):
+            t = lo + (hi - lo) * (i + 0.5) / 9
+            value, err, slope, slope_err = eval_discriminant_slope(c, t)
+            assert (value, err) == eval_discriminant_bounded(c, t)
+            assert abs(slope - derivative(t)) <= 1e-9 * max(1.0, abs(slope))
+            assert abs(slope - derivative(t)) <= 4.0 * slope_err + 1e-9 * abs(slope)
+
+
+def test_dirichlet_knots_interlace():
+    # The j-th Dirichlet eigenvalue lies in the closure of the j-th gap:
+    # D has the sign (-1)^(p-j) there, with |D| >= 2.
+    cfg = EnsembleConfig(trials=30, seed=12)
+    for k in range(cfg.trials):
+        c = sample_operator(cfg, k)
+        d = build_discriminant(c)
+        assert len(d.knots) == len(d.knot_values) == c.p - 1
+        assert list(d.knots) == sorted(d.knots)
+        for j, (value, err) in enumerate(d.knot_values, start=1):
+            assert (-1) ** (c.p - j) * value >= 2.0 - 4.0 * err - 1e-9
+
+
+def test_expansion_is_lazy():
+    d = build_discriminant(period2_operator())
+    assert "_expansion" not in d.__dict__
+    assert d.delta.coeffs == pytest.approx((-2.0, -2.0, 1.0), abs=1e-14)
+    assert "_expansion" in d.__dict__
+
+
+def test_knots_outside_their_gaps_raise(monkeypatch):
+    # A knot moved into a band breaks the sign pattern: D(3) = 1 for this operator.
+    inner = discriminant_mod.dirichlet_eigenvalues
+    monkeypatch.setattr(discriminant_mod, "dirichlet_eigenvalues", lambda c: tuple(x + 1.0 for x in inner(c)))
+    with pytest.raises(PropertyViolation, match="Dirichlet eigenvalue 1 of 1"):
+        build_discriminant(period2_operator())

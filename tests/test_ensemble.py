@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from jacobibands import CapacityMismatch, ConfigInvalid, ensemble, new_periodic
+from jacobibands import AlternationFailure, CapacityMismatch, ConfigInvalid, ensemble, new_periodic
 from jacobibands.bounds import CONDITIONAL_NAMES, UNCONDITIONAL_NAMES
 from jacobibands.ensemble import (
     EnsembleConfig,
@@ -13,6 +13,8 @@ from jacobibands.ensemble import (
     sample_operator,
     validate_config,
 )
+
+from conftest import numpy_edges
 
 
 def test_sampling_is_deterministic():
@@ -96,15 +98,30 @@ def test_run_trial_records_every_family():
     }
 
 
-def test_alternation_failure_is_filed_under_alternation():
-    # Its computed band edges sit 0.42 off the Floquet eigenvalues, so the
-    # discriminant has the wrong sign at one extremum.
-    c = new_periodic([0.6853027745792702] * 10, [-0.09913119158558903] * 10)
-    report = run_trial(c)
+def test_alternation_failure_is_filed_under_alternation(monkeypatch):
+    def wrong_sign(d, bs):
+        raise AlternationFailure("sign of discriminant at extremum 0.5 is -1, expected +1")
+
+    monkeypatch.setattr(ensemble, "potential_report", wrong_sign)
+    report = run_trial(new_periodic([1.0, 1.0], [0.0, 2.0]))
     assert report.families["alternation"].detail.startswith("sign of discriminant at extremum")
     assert not report.families["alternation"].passed
     assert report.families["capacity"].passed
     assert report.potential is None
+
+
+def test_constant_block_passes_every_family():
+    # Every gap of a constant operator is closed; the edges used to come out
+    # 0.42 off the Floquet eigenvalues, with the sign of the discriminant
+    # wrong at one extremum.
+    a, b = [0.6853027745792702] * 10, [-0.09913119158558903] * 10
+    c = new_periodic(a, b)
+    report = run_trial(c)
+    assert report.all_passed, {k: v.detail for k, v in report.families.items() if not v.passed}
+    bs = report.band_structure
+    assert all(bs.closed_gap_flags)
+    for x, y in zip(bs.edges, numpy_edges(c)):
+        assert abs(x - y) <= 1e-12 * max(1.0, bs.s)
 
 
 def test_capacity_mismatch_is_filed_under_capacity(monkeypatch):

@@ -12,7 +12,13 @@ from jacobibands import (
     symmetric_eigenvalues,
 )
 from jacobibands.ensemble import EnsembleConfig, sample_operator
-from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, SymMatrix, _tridiagonalize
+from jacobibands.floquet import (
+    PHASE_ANTIPERIODIC,
+    PHASE_PERIODIC,
+    SymMatrix,
+    _tridiagonalize,
+    tridiagonal_eigenvalues,
+)
 
 from conftest import blocks, free_operator, period2_operator
 
@@ -167,3 +173,19 @@ def test_discriminant_hits_targets_at_oracle_eigenvalues():
             for e in edges:
                 slope = abs(dpoly(e))
                 assert abs(eval_discriminant_stable(c, e) - target) <= 1e-10 * (1.0 + slope)
+
+
+def test_tridiagonal_eigenvalues_match_numpy():
+    # The Dirichlet block of an operator: diagonal b_2..b_p, off-diagonal a_2..a_{p-1}.
+    cfg = EnsembleConfig(seed=2, p_min=1, p_max=30)
+    for k in range(60):
+        c = sample_operator(cfg, k)
+        d, e = c.b[1:], c.a[1 : c.p - 1]
+        mine = tridiagonal_eigenvalues(d, e)
+        assert len(mine) == len(d)
+        if d:
+            ref = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(np.array(mine) - ref)) <= 1e-13 * scale
+    with pytest.raises(ValueError):
+        tridiagonal_eigenvalues([1.0], [], tol=0.0)

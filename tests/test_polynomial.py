@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobibands import (
@@ -136,6 +136,7 @@ def test_sub_resolution_pair_merges():
         unique=True,
     )
 )
+@example(roots=[1.0, 5.0])  # a root at an isolation split point
 def test_random_products_recover_their_roots(roots):
     roots = sorted(roots)
     if any(b - a < 1e-2 for a, b in zip(roots, roots[1:])):
