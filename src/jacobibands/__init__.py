@@ -28,11 +28,9 @@ from .coefficients import (
 )
 from .discriminant import (
     DiscriminantData,
-    TransferMatrix,
     build_discriminant,
     eval_discriminant_exact,
     eval_discriminant_stable,
-    transfer_matrix,
 )
 from .ensemble import (
     EnsembleConfig,
@@ -46,9 +44,7 @@ from .errors import (
     AlternationFailure,
     CapacityMismatch,
     ConfigInvalid,
-    DegenerateInterval,
     EdgeCountMismatch,
-    IndexOutOfRange,
     JacobiBandsError,
     LengthMismatch,
     NonConvergence,
@@ -57,7 +53,6 @@ from .errors import (
     PropertyViolation,
 )
 from .floquet import SymMatrix, band_edges_oracle, floquet_matrix, symmetric_eigenvalues
-from .polynomial import Poly, Root, poly_arith, poly_derivative, poly_eval, real_roots_in
 from .potential import (
     AlternationData,
     AlternationPoint,
@@ -81,12 +76,10 @@ __all__ = [
     "BoundsReport",
     "CapacityMismatch",
     "ConfigInvalid",
-    "DegenerateInterval",
     "DiscriminantData",
     "EdgeCountMismatch",
     "EnsembleConfig",
     "EnsembleResult",
-    "IndexOutOfRange",
     "Interval",
     "JacobiBandsError",
     "LengthMismatch",
@@ -94,13 +87,10 @@ __all__ = [
     "NonFiniteEntry",
     "NonPositiveOffDiagonal",
     "PeriodicCoefficients",
-    "Poly",
     "PotentialReport",
     "PropertyViolation",
-    "Root",
     "ScalarSummary",
     "SymMatrix",
-    "TransferMatrix",
     "TrialReport",
     "alternation_set",
     "band_edges_oracle",
@@ -121,11 +111,7 @@ __all__ = [
     "load_operator",
     "new_periodic",
     "parse_operator",
-    "poly_arith",
-    "poly_derivative",
-    "poly_eval",
     "potential_report",
-    "real_roots_in",
     "run_ensemble",
     "run_trial",
     "sample_operator",
@@ -134,5 +120,4 @@ __all__ = [
     "symmetric_eigenvalues",
     "theorem_log_sum_lower",
     "theorem_log_sum_upper",
-    "transfer_matrix",
 ]

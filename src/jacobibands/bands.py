@@ -5,7 +5,7 @@ each gap, where the discriminant has a sign known from interlacing; with
 the two ends of the padded Gershgorin interval they cut the line into p
 pieces, each holding exactly one band. On a piece, discriminant - 2 and
 discriminant + 2 change sign exactly once, so solving both per piece
-(`polynomial.float_root`, then a secant polish) yields the 2p edges,
+(`float_root`, then a secant polish) yields the 2p edges,
 including touching bands. A knot whose value sits within evaluation noise
 of the gap's target +/-2 is either a touching point, where the slope is
 in noise too, or the edge of an open gap, which is moved to the gap's
@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .coefficients import PeriodicCoefficients
 from .discriminant import (
-    TRUSTED_PERIOD,
     DiscriminantData,
     eval_discriminant_bounded,
     eval_discriminant_slope,
@@ -38,11 +37,22 @@ from .discriminant import (
     search_interval,
     trace_side,
 )
-from .errors import EdgeCountMismatch
+from .errors import EdgeCountMismatch, NonConvergence
 from .floquet import band_edges_oracle
-from .polynomial import float_root
 
 DEFAULT_CLOSED_TOL = 1e-9
+
+# Beyond this period band_structure takes its edge brackets from the Floquet
+# eigenvalues instead of solving on the Dirichlet pieces.
+TRUSTED_PERIOD = 30
+
+# Steps of `float_root`. It reaches tol or the float resolution floor in
+# well under this many.
+_STEP_BUDGET = 300
+
+# Halvings by which the bracket of `float_root` may lag plain bisection
+# before every further step bisects.
+_LAG = 8
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,53 @@ class BandStructure:
     @property
     def min_band(self) -> float:
         return min(b.length for b in self.bands)
+
+
+def float_root(f, lo, f_lo, hi, f_hi, tol):
+    """Bracket of width <= tol around a sign change of f, by Illinois regula falsi.
+
+    f_lo = f(lo) and f_hi = f(hi) are nonzero with opposite signs. Returns
+    (lo, f_lo, hi, f_hi) once hi - lo <= tol or the bracket cannot be split
+    in floats, and (x, 0.0, x, 0.0) at an exact zero. Each step takes the
+    secant point of the ends, kept tol/2 inside the bracket so that a point
+    next to the root lands on its far side and closes the bracket. An end
+    kept twice in a row has its value halved for the secant (Dowell &
+    Jarratt, BIT 11, 1971). Regula falsi can crawl from one side for many
+    steps, so the bracket after step j must be within 2^(_LAG - j) of the
+    first one; while it is not, the steps bisect. That bounds the work at
+    _LAG + 1 evaluations more than bisection needs.
+    """
+    g_lo, g_hi = f_lo, f_hi  # the values the secant uses, Illinois-halved
+    kept = 0  # -1 if the last step kept lo, +1 if it kept hi
+    allowed = hi - lo  # 2^(_LAG - j) times the first width, from step _LAG on
+    for step in range(_STEP_BUDGET):
+        width = hi - lo
+        if width <= tol:
+            return lo, f_lo, hi, f_hi
+        mid = 0.5 * (lo + hi)
+        x = mid
+        if width <= allowed:
+            x = min(max(lo + width * (g_lo / (g_lo - g_hi)), lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            if not lo < mid < hi:
+                return lo, f_lo, hi, f_hi  # float resolution floor
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x, fx, x, fx
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo, g_lo = x, fx, fx
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi, g_hi = x, fx, fx
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+        if step >= _LAG:
+            allowed *= 0.5
+    raise NonConvergence(f"root budget exhausted on [{lo}, {hi}]")
 
 
 def _crossing_beyond_resolution(c, x, target, err_bound):

@@ -19,7 +19,7 @@ from .ensemble import (
     trial_to_jsonable,
 )
 from .errors import JacobiBandsError
-from .potential import potential_report
+from .potential import potential_report, potential_to_jsonable
 
 
 def _fmt(x) -> str:
@@ -73,13 +73,7 @@ def _cmd_analyze(args) -> int:
 
     if args.report:
         payload = report_to_jsonable(report)
-        payload["potential"] = {
-            "cap_spectrum": pot.cap_spectrum,
-            "cheb_number": pot.cheb_number,
-            "widom_factor": pot.widom_factor,
-            "extreme_point_count": pot.extreme_point_count,
-            "band_measures": [str(m) for m in pot.band_measures],
-        }
+        payload["potential"] = potential_to_jsonable(pot)
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -9,10 +9,9 @@ eigenvalues of the operator with site 0 deleted. By Cauchy interlacing
 the j-th of these p - 1 values lies in the closure of the j-th gap,
 where D has the sign (-1)^(p-j) and |D| >= 2 (van Moerbeke, Invent.
 Math. 37, 1976), so they cut the line into p pieces holding one band
-each. The monomial expansion, with its Sturm-isolated roots and critical
-points, is still available on demand for inspection and for long-period
-diagnostics. An exact rational evaluator backs up the float path where
-cancellation would otherwise dominate.
+each. No stage expands D in the monomial basis, which is ill-conditioned
+from p of about 20 on. An exact rational evaluator backs up the float
+path where cancellation would otherwise dominate.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once (and is cached) to integer
@@ -29,53 +28,20 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import PeriodicCoefficients, offdiag_product, scalar_summary
-from .errors import IndexOutOfRange, JacobiBandsError, PropertyViolation
+from .coefficients import PeriodicCoefficients, scalar_summary
+from .errors import PropertyViolation
 from .floquet import tridiagonal_eigenvalues
-from .polynomial import Poly, real_roots_in
 
 # unit roundoff with headroom; used by the running error bound
 _U = 2.3e-16
 
-# Beyond this period the float discriminant at the knots is not trusted:
-# build_discriminant only warns when a check fails, and band extraction
-# falls back to stable evaluation with Floquet brackets.
-TRUSTED_PERIOD = 30
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One-site transfer step [[(x - b_n)/a_n, -a_{n-1}/a_n], [1, 0]]."""
-
-    entries: tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
-
-
-def transfer_matrix(c: PeriodicCoefficients, n: int) -> TransferMatrix:
-    """Transfer step for 1-based site index n; a_0 wraps to a_p."""
-    if not 1 <= n <= c.p:
-        raise IndexOutOfRange(f"site index {n} outside 1..{c.p}")
-    an = c.a[n - 1]
-    a_prev = c.a[n - 2]  # n=1 wraps to a[p-1]
-    bn = c.b[n - 1]
-    return TransferMatrix(
-        (
-            (Poly([-bn / an, 1.0 / an]), Poly([-a_prev / an])),
-            (Poly([1.0]), Poly([0.0])),
-        )
-    )
-
-
-def _matmul(x, y):
-    (x00, x01), (x10, x11) = x
-    (y00, y01), (y10, y11) = y
-    return (
-        (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11),
-        (x10 * y00 + x11 * y10, x10 * y01 + x11 * y11),
-    )
+# Bound by name only for the ("jacobibands.discriminant", "real_roots_in")
+# entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up;
+# nothing calls it, so its "polynomial" span never opens.
+real_roots_in = None
 
 
 @dataclass(frozen=True)
@@ -83,11 +49,7 @@ class DiscriminantData:
     """The operator plus the knots that split its spectrum into bands.
 
     knots are the p - 1 Dirichlet eigenvalues, sorted; knot_values holds
-    `eval_discriminant_bounded` at each, as (value, error bound). The
-    monomial expansion (delta, leading, critical_points: the roots of the
-    derivative inside the padded Gershgorin interval, sorted; expanded_ok:
-    whether the expansion passed its structural checks) is computed on
-    first access; no pipeline stage reads it.
+    `eval_discriminant_bounded` at each, as (value, error bound).
     """
 
     coeffs: PeriodicCoefficients
@@ -97,26 +59,6 @@ class DiscriminantData:
     @property
     def p(self) -> int:
         return self.coeffs.p
-
-    @functools.cached_property
-    def _expansion(self) -> tuple[Poly, float, tuple[float, ...], tuple[str, ...]]:
-        return _expand(self.coeffs)
-
-    @property
-    def delta(self) -> Poly:
-        return self._expansion[0]
-
-    @property
-    def leading(self) -> float:
-        return self._expansion[1]
-
-    @property
-    def critical_points(self) -> tuple[float, ...]:
-        return self._expansion[2]
-
-    @property
-    def expanded_ok(self) -> bool:
-        return not self._expansion[3]
 
 
 def search_interval(c: PeriodicCoefficients, pad_fraction: float = 0.01) -> tuple[float, float]:
@@ -344,95 +286,16 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     At the j-th Dirichlet eigenvalue the discriminant must have the sign
     (-1)^(p-j) and |D| >= 2, each within the float error bound.
 
-    Raises PropertyViolation when the check fails for p <= TRUSTED_PERIOD.
-    For longer periods failures, and failures of the expanded
-    discriminant's own checks, downgrade to a warning.
+    Raises PropertyViolation at the first knot that fails, at every period.
     """
     p = c.p
     knots = dirichlet_eigenvalues(c)
     values = tuple(eval_discriminant_bounded(c, x) for x in knots)
-    problems: list[str] = []
     for j, (x, (value, err)) in enumerate(zip(knots, values), start=1):
         s = gap_sign(p, j)
         if s * value < 2.0 - (1e-9 + 4.0 * err):
-            problems.append(
+            raise PropertyViolation(
                 f"D({x}) = {value} at Dirichlet eigenvalue {j} of {p - 1}; "
                 f"expected sign {s:+.0f} and |D| >= 2"
             )
-            break
-    data = DiscriminantData(coeffs=c, knots=knots, knot_values=values)
-    if p <= TRUSTED_PERIOD:
-        if problems:
-            raise PropertyViolation("; ".join(problems))
-    else:
-        problems.extend(data._expansion[3])
-        if problems:
-            message = "; ".join(problems)
-            warnings.warn(f"expanded discriminant not trusted for p={p}: {message}", RuntimeWarning, stacklevel=2)
-    return data
-
-
-def _expand(c: PeriodicCoefficients) -> tuple[Poly, float, tuple[float, ...], tuple[str, ...]]:
-    """Monomial expansion of the discriminant and its structural checks.
-
-    Checks, each within float tolerance: degree equals p; leading
-    coefficient equals 1/(a_1...a_p); p distinct real roots; |value| >= 2
-    at every critical point. Returns (delta, leading coefficient,
-    critical points, failed checks).
-    """
-    p = c.p
-    prod = transfer_matrix(c, p).entries
-    for n in range(p - 1, 0, -1):
-        prod = _matmul(prod, transfer_matrix(c, n).entries)
-    delta = prod[0][0] + prod[1][1]
-
-    lo, hi = search_interval(c)
-    root_tol = 1e-12 * max(1.0, hi - lo)
-
-    problems: list[str] = []
-    if delta.degree != p:
-        problems.append(f"degree {delta.degree} != p = {p}")
-    leading = delta.coeffs[-1]
-    if leading <= 0.0:
-        problems.append(f"leading coefficient {leading} not positive")
-    else:
-        # leading * prod(a) == 1, tested in log space to dodge overflow
-        drift = math.expm1(math.log(leading) + math.fsum(math.log(x) for x in c.a))
-        if abs(drift) > 1e-9:
-            problems.append(f"leading coefficient drift {drift:.3e}")
-
-    criticals: tuple[float, ...] = ()
-    if not problems:
-        try:
-            roots = real_roots_in(delta, lo, hi, root_tol)
-            if sum(r.multiplicity for r in roots) != p:
-                problems.append(
-                    f"found {sum(r.multiplicity for r in roots)} roots (with multiplicity), expected {p}"
-                )
-            elif len(roots) != p:
-                # Root separation below float resolution; positions are still
-                # good, so downstream checks (Floquet agreement) take over.
-                warnings.warn(
-                    f"{p - len(roots)} near-coincident discriminant roots merged at float resolution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if p >= 2:
-                crit_roots = real_roots_in(delta.derivative(), lo, hi, root_tol)
-                criticals = tuple(r.value for r in crit_roots)
-                if len(criticals) != p - 1:
-                    problems.append(f"{len(criticals)} critical points, expected {p - 1}")
-                else:
-                    for x in criticals:
-                        value, err = eval_discriminant_bounded(c, x)
-                        if abs(value) < 2.0 - (1e-9 + 4.0 * err):
-                            problems.append(f"|D({x})| = {abs(value)} < 2 beyond tolerance")
-                            break
-        except JacobiBandsError as exc:
-            problems.append(f"root isolation failed: {exc}")
-    return delta, leading, criticals, tuple(problems)
-
-
-def chebyshev_scale(c: PeriodicCoefficients) -> float:
-    """Product a_1...a_p; multiplying the discriminant by this makes it monic."""
-    return offdiag_product(c)
+    return DiscriminantData(coeffs=c, knots=knots, knot_values=values)

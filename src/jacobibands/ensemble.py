@@ -22,10 +22,9 @@ from .coefficients import PeriodicCoefficients, new_periodic, scalar_summary
 from .discriminant import build_discriminant
 from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiBandsError
 from .floquet import band_edges_oracle
-from .potential import PotentialReport, potential_report
+from .potential import PotentialReport, potential_report, potential_to_jsonable
 
 ORACLE_MATCH_RTOL = 1e-8
-CAPACITY_RTOL = 1e-8
 
 FAMILY_NAMES = (
     "discriminant",
@@ -174,19 +173,17 @@ def run_trial(
         report.families["capacity"] = FamilyResult(False, str(exc))
         report.families["alternation"] = FamilyResult(False, "skipped: capacity failed")
     except AlternationFailure as exc:
-        # potential_report accepts the capacity (to a tighter tolerance than
-        # CAPACITY_RTOL) before it builds the alternation set, so capacity
-        # passed; its relative error is not returned and stays nan.
+        # potential_report accepts the capacity before it builds the
+        # alternation set, so capacity passed; its relative error is not
+        # returned and stays nan.
         report.families["capacity"] = FamilyResult(True)
         report.families["alternation"] = FamilyResult(False, str(exc))
     else:
+        # potential_report raised CapacityMismatch unless the capacity
+        # matched the geometric mean to 1e-9 relative.
         report.potential = pot
-        rel = abs(pot.cap_spectrum - summary.geom_mean_a) / summary.geom_mean_a
-        report.capacity_rel_error = rel
-        if rel <= CAPACITY_RTOL:
-            report.families["capacity"] = FamilyResult(True)
-        else:
-            report.families["capacity"] = FamilyResult(False, f"capacity relative error {rel:.3e}")
+        report.capacity_rel_error = abs(pot.cap_spectrum - summary.geom_mean_a) / summary.geom_mean_a
+        report.families["capacity"] = FamilyResult(True)
         measures_ok = sum(pot.band_measures) == 1 and all(m > 0 for m in pot.band_measures)
         uniform_expected = not any(bs.closed_gap_flags)
         if uniform_expected and any(m != Fraction(1, c.p) for m in pot.band_measures):
@@ -297,13 +294,7 @@ def trial_to_jsonable(t: TrialReport) -> dict:
         out["s"] = bs.s
         out["closed_gap_flags"] = list(bs.closed_gap_flags)
     if t.potential is not None:
-        out["potential"] = {
-            "cap_spectrum": t.potential.cap_spectrum,
-            "cheb_number": t.potential.cheb_number,
-            "widom_factor": t.potential.widom_factor,
-            "extreme_point_count": t.potential.extreme_point_count,
-            "band_measures": [str(m) for m in t.potential.band_measures],
-        }
+        out["potential"] = potential_to_jsonable(t.potential)
     if t.bounds is not None:
         out["bounds"] = [bounds_mod.record_to_jsonable(r) for r in t.bounds.records]
     return out

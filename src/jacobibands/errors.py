@@ -17,14 +17,6 @@ class NonFiniteEntry(JacobiBandsError):
     """A coefficient is NaN or infinite."""
 
 
-class IndexOutOfRange(JacobiBandsError):
-    """A 1-based period index lies outside 1..p."""
-
-
-class DegenerateInterval(JacobiBandsError):
-    """A search interval has zero or negative width."""
-
-
 class NonConvergence(JacobiBandsError):
     """An iterative refinement exhausted its budget."""
 

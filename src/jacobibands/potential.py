@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bands import BandStructure, Interval
-from .coefficients import scalar_summary
+from .coefficients import offdiag_product, scalar_summary
 from .discriminant import (
     DiscriminantData,
-    chebyshev_scale,
     eval_discriminant_bounded,
     exact_root,
     offdiag_product_exact,
@@ -69,6 +68,17 @@ class PotentialReport:
     extreme_point_count: int
 
 
+def potential_to_jsonable(pot: PotentialReport) -> dict:
+    """The serialized potential block of the analyze and ensemble reports."""
+    return {
+        "cap_spectrum": pot.cap_spectrum,
+        "cheb_number": pot.cheb_number,
+        "widom_factor": pot.widom_factor,
+        "extreme_point_count": pot.extreme_point_count,
+        "band_measures": [str(m) for m in pot.band_measures],
+    }
+
+
 def capacity_interval(iv: Interval) -> float:
     """Logarithmic capacity of a real interval: one fourth of its length."""
     if iv.length < 0.0:
@@ -106,12 +116,21 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     return abs(value)
 
 
-def _edge_values(d: DiscriminantData, bs: BandStructure) -> list[float]:
+def _edge_evaluations(d: DiscriminantData, bs: BandStructure) -> dict[float, tuple[float, float]]:
+    """`eval_discriminant_bounded` at each distinct band edge, keyed by the edge."""
+    out: dict[float, tuple[float, float]] = {}
+    for x in bs.edges:
+        if x not in out:
+            out[x] = eval_discriminant_bounded(d.coeffs, x)
+    return out
+
+
+def _edge_values(d: DiscriminantData, bs: BandStructure, evals) -> list[float]:
     """|discriminant| at every band edge, exact-refined where needed."""
     values = []
     for band, (lab_lo, lab_hi) in zip(bs.bands, bs.edge_labels):
         for x, lab in ((band.lo, lab_lo), (band.hi, lab_hi)):
-            v, _ = eval_discriminant_bounded(d.coeffs, x)
+            v, _ = evals[x]
             if abs(abs(v) - 2.0) > _EXACT_REFINE_TRIGGER:
                 values.append(_refine_value_exact(d, x, 2 * lab))
             else:
@@ -127,8 +146,11 @@ def chebyshev_number(d: DiscriminantData, bs: BandStructure) -> float:
     are exactly the touch points, which are already edges, so the edge
     set is the full candidate set.
     """
-    sup = max(_edge_values(d, bs))
-    return chebyshev_scale(d.coeffs) * sup
+    return _chebyshev_number(d, bs, _edge_evaluations(d, bs))
+
+
+def _chebyshev_number(d, bs, evals):
+    return offdiag_product(d.coeffs) * max(_edge_values(d, bs, evals))
 
 
 def spectrum_capacity(
@@ -159,6 +181,10 @@ def alternation_set(d: DiscriminantData, bs: BandStructure) -> AlternationData:
     subsequence of length p + 1 ending with +, and the count p + l where
     l is the number of maximal closed intervals of the spectrum.
     """
+    return _alternation_set(bs, _edge_evaluations(d, bs))
+
+
+def _alternation_set(bs, evals):
     p = bs.p
     points: list[AlternationPoint] = []
     pieces: list[list[Interval]] = [[bs.bands[0]]]
@@ -179,7 +205,7 @@ def alternation_set(d: DiscriminantData, bs: BandStructure) -> AlternationData:
         points.append(AlternationPoint(band.hi, lab_hi))
 
     for pt in points:
-        value, err = eval_discriminant_bounded(d.coeffs, pt.x)
+        value, err = evals[pt.x]
         if value * pt.sign <= 0.0:
             raise AlternationFailure(
                 f"sign of discriminant at extremum {pt.x} is {math.copysign(1, value):+.0f}, "
@@ -224,10 +250,14 @@ def equilibrium_band_measures(alt: AlternationData) -> tuple[Fraction, ...]:
 
 
 def potential_report(d: DiscriminantData, bs: BandStructure) -> PotentialReport:
-    """All potential-theoretic quantities of one operator in one record."""
-    cheb = chebyshev_number(d, bs)
+    """All potential-theoretic quantities of one operator in one record.
+
+    Each distinct edge is evaluated once, for the sup and the alternation signs.
+    """
+    evals = _edge_evaluations(d, bs)
+    cheb = _chebyshev_number(d, bs, evals)
     cap = spectrum_capacity(d, bs, cheb)
-    alt = alternation_set(d, bs)
+    alt = _alternation_set(bs, evals)
     measures = equilibrium_band_measures(alt)
     widom = cheb / math.exp(bs.p * math.log(cap))
     return PotentialReport(

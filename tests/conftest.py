@@ -4,9 +4,14 @@ import random
 import time
 
 import pytest
+from hypothesis import settings
 
 from jacobibands import new_periodic
 from jacobibands.ensemble import EnsembleConfig, run_ensemble
+
+# The same examples on every run, and no per-example deadline on shared hosts.
+settings.register_profile("jacobibands", derandomize=True, deadline=None)
+settings.load_profile("jacobibands")
 
 # The reference ensemble: shared by the acceptance criteria that quantify
 # over 1000 seeded operators.
@@ -65,6 +70,23 @@ def numpy_edges(c):
     for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
         edges.extend(np.linalg.eigvalsh(np.array(floquet_matrix(c, phase).entries)))
     return sorted(edges)
+
+
+def reference_discriminant(c):
+    """D as a numpy Polynomial: the transfer product expanded in the monomial basis."""
+    from numpy.polynomial import Polynomial
+
+    m00, m01, m10, m11 = Polynomial([1.0]), Polynomial([0.0]), Polynomial([0.0]), Polynomial([1.0])
+    for n in range(c.p):
+        t00 = Polynomial([-c.b[n] / c.a[n], 1.0 / c.a[n]])
+        t01 = -c.a[n - 1] / c.a[n]
+        m00, m01, m10, m11 = t00 * m00 + t01 * m10, t00 * m01 + t01 * m11, m00, m01
+    return m00 + m11
+
+
+def reference_critical_points(c):
+    """The p - 1 critical points of D, sorted: numpy roots of the expansion's derivative."""
+    return sorted(float(x.real) for x in reference_discriminant(c).deriv().roots())
 
 
 def count_exact_calls(monkeypatch, module):

@@ -14,11 +14,13 @@ from fractions import Fraction
 from jacobibands import (
     band_structure,
     build_discriminant,
+    eval_discriminant_exact,
     evaluate_all_bounds,
     potential_report,
 )
 from jacobibands.bounds import CONDITIONAL_NAMES, UNCONDITIONAL_NAMES
 from jacobibands.cli import main
+from jacobibands.discriminant import search_interval
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
 from conftest import criterion, free_operator, period2_operator
@@ -141,12 +143,13 @@ def test_criterion_7_structural_invariants():
             d0 = build_discriminant(c)
             bs0 = band_structure(d0)
 
-            coeff_scale = max(abs(x) for x in d0.delta.coeffs)
+            # rotation: two degree-p polynomials equal at p + 1 points are equal
+            lo, hi = search_interval(c)
+            points = [lo + (hi - lo) * i / c.p for i in range(c.p + 1)]
+            values = [eval_discriminant_exact(c, t) for t in points]
             for rotation in {1, c.p // 2} - {0}:
                 d1 = build_discriminant(c.rotated(rotation))
-                assert len(d1.delta.coeffs) == len(d0.delta.coeffs)
-                for x, y in zip(d0.delta.coeffs, d1.delta.coeffs):
-                    assert abs(x - y) <= 1e-9 * coeff_scale
+                assert [eval_discriminant_exact(d1.coeffs, t) for t in points] == values
 
             bs_shift = band_structure(build_discriminant(c.shifted(shift_t)))
             bs_scale = band_structure(build_discriminant(c.scaled(scale_f)))

@@ -1,13 +1,12 @@
 import io
 import math
 import random
-import warnings
 
 import pytest
 
 from jacobibands import (
     EdgeCountMismatch,
-    Poly,
+    NonConvergence,
     band_structure,
     bands_to_csv,
     build_discriminant,
@@ -15,8 +14,7 @@ from jacobibands import (
     new_periodic,
 )
 from jacobibands import bands as bands_mod
-from jacobibands import discriminant as discriminant_mod
-from jacobibands.bands import Interval, band_structure as bands_fn
+from jacobibands.bands import Interval, band_structure as bands_fn, float_root
 from jacobibands.discriminant import DiscriminantData, eval_discriminant_stable
 from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
 
@@ -28,6 +26,8 @@ from conftest import (
     free_operator,
     numpy_edges,
     period2_operator,
+    reference_critical_points,
+    reference_discriminant,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -123,7 +123,7 @@ def test_edge_values_hit_targets():
         c = sample_operator(cfg, k)
         d = build_discriminant(c)
         bs = band_structure(d)
-        dpoly = d.delta.derivative()
+        dpoly = reference_discriminant(c).deriv()
         tol = 1e-12 * max(1.0, bs.s)
         for band, (lab_lo, lab_hi) in zip(bs.bands, bs.edge_labels):
             for x, lab in ((band.lo, lab_lo), (band.hi, lab_hi)):
@@ -149,11 +149,10 @@ def test_no_critical_point_strictly_inside_open_band():
     cfg = EnsembleConfig(trials=10, seed=6)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        d = build_discriminant(c)
-        bs = band_structure(d)
+        bs = band_structure(build_discriminant(c))
         pad = 1e-10 * max(1.0, bs.s)
         for band in bs.bands:
-            for x in d.critical_points:
+            for x in reference_critical_points(c):
                 assert not (band.lo + pad < x < band.hi - pad)
 
 
@@ -222,9 +221,7 @@ def test_long_period_blocks_pass_every_family():
     # min_band_upper bound.
     for k in range(40):
         c = new_periodic(*long_block(k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            t = run_trial(c)
+        t = run_trial(c)
         assert t.all_passed, (k, {n: r.detail for n, r in t.families.items() if not r.passed})
         bs = t.band_structure
         tol = ORACLE_MATCH_RTOL * max(1.0, bs.s)
@@ -232,20 +229,27 @@ def test_long_period_blocks_pass_every_family():
             assert abs(x - y) <= tol
 
 
-def test_long_period_uses_oracle_automatically():
+def test_long_period_uses_oracle_automatically(monkeypatch):
+    calls = []
+    inner = bands_mod.band_edges_oracle
+
+    def counted(c):
+        calls.append(c)
+        return inner(c)
+
+    monkeypatch.setattr(bands_mod, "band_edges_oracle", counted)
     p = 32
     c = new_periodic([1.0] * p, [0.1 * math.sin(2.0 * math.pi * k / p) for k in range(p)])
-    with pytest.warns(RuntimeWarning, match="not trusted"):
-        d = build_discriminant(c)
-    bs = band_structure(d)
+    bs = band_structure(build_discriminant(c))
+    assert calls == [c]
     assert bs.p == p
     assert bs.total_band_measure <= 4.0 + 1e-9
     assert bs.total_band_measure + bs.total_gap_measure == pytest.approx(bs.s, abs=1e-9)
 
 
 def test_corrupted_critical_points_raise():
-    # The band solver reads the Dirichlet knots, not the critical points of
-    # the expansion: a knot list of the wrong length must not pass.
+    # The band solver cuts the line at the Dirichlet knots: a knot list of
+    # the wrong length must not pass.
     d = build_discriminant(period2_operator())
     broken = DiscriminantData(coeffs=d.coeffs, knots=(), knot_values=())
     with pytest.raises(EdgeCountMismatch):
@@ -364,9 +368,7 @@ def test_inverted_band_is_a_typed_failure(cfg, k):
     # Exact sharpening moved one edge of a band below float resolution past
     # its float partner; the negative band length then escaped run_trial as
     # "math domain error" from the bounds.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        t = run_trial(sample_operator(cfg, k))
+    t = run_trial(sample_operator(cfg, k))
     assert not t.families["bands"].passed
     assert "inverted by exact edge sharpening" in t.families["bands"].detail
 
@@ -380,12 +382,45 @@ def test_short_blocks_pass_every_family():
         assert t.all_passed, (k, {n: r.detail for n, r in t.families.items() if not r.passed})
 
 
-def test_pipeline_does_not_expand_the_discriminant(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("monomial expansion on the pipeline")
+def counted_root(f, lo, hi, tol):
+    """float_root on [lo, hi] with the number of evaluations it made."""
+    calls = [0]
 
-    monkeypatch.setattr(discriminant_mod, "real_roots_in", refuse)
-    monkeypatch.setattr(Poly, "__mul__", refuse)
-    for k in range(200):
-        t = run_trial(sample_operator(ACCEPTANCE_CONFIG, k))
-        assert t.all_passed, (k, {n: r.detail for n, r in t.families.items() if not r.passed})
+    def g(x):
+        calls[0] += 1
+        return f(x)
+
+    return float_root(g, lo, f(lo), hi, f(hi), tol), calls[0]
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, root",
+    [
+        # flat parabola next to its critical point at 0: f(lo) = -1e-8, f(hi) = 1
+        (lambda x: x * x - 1e-8, 0.0, 1.0, 1e-4),
+        # odd triple root: unguarded Illinois needs 80 evaluations here
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3),
+        # steep edge: f rises from -2 to 2**21 - 2
+        (lambda x: x**21 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 21.0)),
+    ],
+)
+def test_float_root_brackets_within_bound(f, lo, hi, root):
+    tol = 1e-12
+    (a, fa, b, fb), calls = counted_root(f, lo, hi, tol)
+    assert a <= root <= b
+    assert b - a <= tol
+    assert fa < 0.0 < fb
+    # never more than the safeguard's lag beyond plain bisection
+    assert calls <= math.ceil(math.log2((hi - lo) / tol)) + bands_mod._LAG + 1
+
+
+def test_float_root_stops_at_exact_zero():
+    (a, fa, b, fb), calls = counted_root(lambda x: x - 0.5, 0.0, 1.0, 1e-12)
+    assert (a, fa, b, fb) == (0.5, 0.0, 0.5, 0.0)
+    assert calls == 1
+
+
+def test_float_root_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(bands_mod, "_STEP_BUDGET", 5)
+    with pytest.raises(NonConvergence, match="budget exhausted"):
+        float_root(lambda x: (x - 0.3) ** 3, 0.0, -0.027, 1.0, 0.343, 1e-12)

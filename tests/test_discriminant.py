@@ -5,18 +5,15 @@ from fractions import Fraction
 import pytest
 
 from jacobibands import (
-    IndexOutOfRange,
-    Poly,
     PropertyViolation,
     build_discriminant,
     eval_discriminant_exact,
     eval_discriminant_stable,
     new_periodic,
-    transfer_matrix,
 )
 from jacobibands import discriminant as discriminant_mod
+from jacobibands.coefficients import offdiag_product
 from jacobibands.discriminant import (
-    chebyshev_scale,
     eval_discriminant_bounded,
     eval_discriminant_slope,
     offdiag_product_exact,
@@ -27,7 +24,7 @@ from jacobibands.discriminant import (
 )
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
-from conftest import free_operator, period2_operator
+from conftest import free_operator, period2_operator, reference_critical_points, reference_discriminant
 
 
 def free_case_trace(p, t):
@@ -40,56 +37,36 @@ def free_case_trace(p, t):
     return (-1.0) ** p * 2.0 * math.cosh(p * math.acosh(-h))
 
 
-def test_transfer_matrix_unit_coefficients():
-    m = transfer_matrix(new_periodic([1.0], [0.0]), 1).entries
-    assert m[0][0] == Poly([0.0, 1.0])
-    assert m[0][1] == Poly([-1.0])
-    assert m[1][0] == Poly([1.0])
-    assert m[1][1] == Poly([0.0])
-
-
-def test_transfer_matrix_second_site():
-    m = transfer_matrix(period2_operator(), 2).entries
-    assert m[0][0] == Poly([-2.0, 1.0])
-    assert m[0][1] == Poly([-1.0])
-
-
-def test_transfer_matrix_wraps_first_site():
-    m = transfer_matrix(new_periodic([2.0, 4.0], [0.0, 0.0]), 1).entries
-    assert m[0][0] == Poly([0.0, 0.5])
-    assert m[0][1] == Poly([-2.0])  # -a_0/a_1 with a_0 = a_p = 4
-
-
-def test_transfer_matrix_index_bounds():
-    c = period2_operator()
-    with pytest.raises(IndexOutOfRange):
-        transfer_matrix(c, 0)
-    with pytest.raises(IndexOutOfRange):
-        transfer_matrix(c, 3)
-
-
 def test_single_site_discriminant_is_linear():
-    d = build_discriminant(new_periodic([1.0], [0.0]))
-    assert d.delta == Poly([0.0, 1.0])
-    assert d.critical_points == ()
-    assert d.expanded_ok
+    c = new_periodic([1.0], [0.0])
+    d = build_discriminant(c)
+    assert d.knots == () and d.knot_values == ()
+    for t in (-3.0, 0.0, 0.5, Fraction(7, 3)):
+        assert eval_discriminant_exact(c, t) == t
 
 
 def test_period2_closed_form():
-    d = build_discriminant(period2_operator())
-    assert d.delta.coeffs == pytest.approx((-2.0, -2.0, 1.0), abs=1e-14)
-    assert d.leading == pytest.approx(1.0)
+    # D(t) = t^2 - 2t - 2 and the one Dirichlet eigenvalue is b_2 = 2
+    c = period2_operator()
+    d = build_discriminant(c)
+    assert d.knots == (2.0,)
+    for t in (-2, -0.5, 0, 1, Fraction(5, 3)):
+        t = Fraction(t)
+        assert eval_discriminant_exact(c, t) == t * t - 2 * t - 2
+    assert tuple(reference_discriminant(c).coef) == pytest.approx((-2.0, -2.0, 1.0), abs=1e-14)
 
 
 def test_free_case_matches_trig_identity():
     for p in (2, 3, 5, 8):
         c = free_operator(p)
-        d = build_discriminant(c)
+        build_discriminant(c)
         lo, hi = search_interval(c)
         for k in range(20):
             t = lo + (hi - lo) * k / 19.0
             expected = free_case_trace(p, t)
-            assert d.delta(t) == pytest.approx(expected, abs=1e-9 * (1 + abs(expected)))
+            assert float(eval_discriminant_exact(c, t)) == pytest.approx(
+                expected, abs=1e-9 * (1 + abs(expected))
+            )
             assert eval_discriminant_stable(c, t) == pytest.approx(
                 expected, abs=1e-9 * (1 + abs(expected))
             )
@@ -101,7 +78,14 @@ def test_stable_evaluation_examples():
     assert eval_discriminant_stable(free_operator(4), 2.0) == pytest.approx(2.0)
 
 
+def forward_difference(f, order):
+    """The order-th forward difference of f at 0 with unit step."""
+    return sum((-1) ** (order - k) * math.comb(order, k) * f(k) for k in range(order + 1))
+
+
 def test_leading_coefficient_identity():
+    # prod(a) * D is monic of degree p: its p-th difference is p! and its
+    # (p + 1)-th vanishes, exactly.
     rng = random.Random(5)
     for _ in range(20):
         p = rng.randint(1, 9)
@@ -109,18 +93,23 @@ def test_leading_coefficient_identity():
             [math.exp(rng.uniform(-2, 2)) for _ in range(p)],
             [rng.uniform(-4, 4) for _ in range(p)],
         )
-        d = build_discriminant(c)
-        assert d.delta.degree == p
-        assert d.leading * math.prod(c.a) == pytest.approx(1.0, abs=1e-9)
+        build_discriminant(c)
+
+        def monic(t):
+            return Fraction(*scaled_trace_exact(c, t))
+
+        assert forward_difference(monic, p) == math.factorial(p)
+        assert forward_difference(monic, p + 1) == 0
 
 
 def test_critical_values_outside_strip():
     cfg = EnsembleConfig(trials=12, seed=3)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        d = build_discriminant(c)
-        assert len(d.critical_points) == c.p - 1
-        for x in d.critical_points:
+        build_discriminant(c)
+        critical_points = reference_critical_points(c)
+        assert len(critical_points) == c.p - 1
+        for x in critical_points:
             assert abs(eval_discriminant_stable(c, x)) >= 2.0 - 1e-9
 
 
@@ -129,11 +118,11 @@ def test_two_evaluation_paths_agree():
     rng = random.Random(0)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        d = build_discriminant(c)
+        expanded = reference_discriminant(c)
         lo, hi = search_interval(c)
         for _ in range(100):
             t = rng.uniform(lo, hi)
-            a = d.delta(t)
+            a = expanded(t)
             b = eval_discriminant_stable(c, t)
             assert abs(a - b) <= 1e-8 * (1.0 + abs(b))
 
@@ -157,7 +146,7 @@ def test_scaled_trace_matches_discriminant_times_product():
     lhs = Fraction(*scaled_trace_exact(c, t))
     rhs = eval_discriminant_exact(c, t) * offdiag_product_exact(c)
     assert lhs == rhs
-    assert chebyshev_scale(c) == pytest.approx(float(offdiag_product_exact(c)), rel=1e-13)
+    assert offdiag_product(c) == pytest.approx(float(offdiag_product_exact(c)), rel=1e-13)
 
 
 def test_trace_pair_helpers_match_fractions():
@@ -174,16 +163,17 @@ def test_trace_pair_helpers_match_fractions():
 
 
 def test_cyclic_shift_leaves_discriminant_unchanged():
+    # Two polynomials of degree p that agree at p + 1 points are identical.
     cfg = EnsembleConfig(trials=10, seed=17)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        d0 = build_discriminant(c)
-        scale = max(abs(x) for x in d0.delta.coeffs)
+        build_discriminant(c)
+        lo, hi = search_interval(c)
+        points = [lo + (hi - lo) * i / c.p for i in range(c.p + 1)]
+        values = [eval_discriminant_exact(c, t) for t in points]
         for shift in range(1, c.p):
             d1 = build_discriminant(c.rotated(shift))
-            assert len(d0.delta.coeffs) == len(d1.delta.coeffs)
-            for x, y in zip(d0.delta.coeffs, d1.delta.coeffs):
-                assert abs(x - y) <= 1e-9 * scale
+            assert [eval_discriminant_exact(d1.coeffs, t) for t in points] == values
 
 
 def test_shift_covariance_on_grid():
@@ -192,7 +182,7 @@ def test_shift_covariance_on_grid():
     d0 = build_discriminant(c)
     d1 = build_discriminant(c.shifted(t_shift))
     for t in [-2.0, -0.5, 0.0, 1.0, 3.0]:
-        assert d1.delta(t + t_shift) == pytest.approx(d0.delta(t), abs=1e-10)
+        assert eval_discriminant_exact(d1.coeffs, t + t_shift) == eval_discriminant_exact(d0.coeffs, t)
 
 
 def test_scale_covariance_on_grid():
@@ -201,7 +191,7 @@ def test_scale_covariance_on_grid():
     d0 = build_discriminant(c)
     d1 = build_discriminant(c.scaled(factor))
     for t in [-2.0, -0.5, 0.0, 1.0, 3.0]:
-        assert d1.delta(t * factor) == pytest.approx(d0.delta(t), abs=1e-10)
+        assert eval_discriminant_exact(d1.coeffs, t * factor) == eval_discriminant_exact(d0.coeffs, t)
 
 
 def fraction_scaled_trace(c, t):
@@ -269,9 +259,9 @@ def test_slope_evaluation_matches_the_expansion():
     cfg = EnsembleConfig(trials=10, seed=11)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        d = build_discriminant(c)
+        build_discriminant(c)
         lo, hi = search_interval(c)
-        derivative = d.delta.derivative()
+        derivative = reference_discriminant(c).deriv()
         for i in range(9):
             t = lo + (hi - lo) * (i + 0.5) / 9
             value, err, slope, slope_err = eval_discriminant_slope(c, t)
@@ -291,13 +281,6 @@ def test_dirichlet_knots_interlace():
         assert list(d.knots) == sorted(d.knots)
         for j, (value, err) in enumerate(d.knot_values, start=1):
             assert (-1) ** (c.p - j) * value >= 2.0 - 4.0 * err - 1e-9
-
-
-def test_expansion_is_lazy():
-    d = build_discriminant(period2_operator())
-    assert "_expansion" not in d.__dict__
-    assert d.delta.coeffs == pytest.approx((-2.0, -2.0, 1.0), abs=1e-14)
-    assert "_expansion" in d.__dict__
 
 
 def test_knots_outside_their_gaps_raise(monkeypatch):

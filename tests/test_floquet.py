@@ -159,15 +159,15 @@ def test_oracle_counts_are_p():
 
 
 def test_discriminant_hits_targets_at_oracle_eigenvalues():
-    from jacobibands import build_discriminant
     from jacobibands.discriminant import eval_discriminant_stable
     from jacobibands.ensemble import EnsembleConfig, sample_operator
+
+    from conftest import reference_discriminant
 
     cfg = EnsembleConfig(trials=10, seed=23)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        d = build_discriminant(c)
-        dpoly = d.delta.derivative()
+        dpoly = reference_discriminant(c).deriv()
         plus, minus = band_edges_oracle(c)
         for edges, target in ((plus, 2.0), (minus, -2.0)):
             for e in edges:
