@@ -72,14 +72,24 @@ def numpy_edges(c):
     return sorted(edges)
 
 
+def reference_transfer_matrix(c, n):
+    """The one-step transfer matrix of site n (1..p) as numpy Polynomials; a_0 = a_p."""
+    from numpy.polynomial import Polynomial
+
+    k = n - 1
+    return (
+        (Polynomial([-c.b[k] / c.a[k], 1.0 / c.a[k]]), Polynomial([-c.a[k - 1] / c.a[k]])),
+        (Polynomial([1.0]), Polynomial([0.0])),
+    )
+
+
 def reference_discriminant(c):
     """D as a numpy Polynomial: the transfer product expanded in the monomial basis."""
     from numpy.polynomial import Polynomial
 
     m00, m01, m10, m11 = Polynomial([1.0]), Polynomial([0.0]), Polynomial([0.0]), Polynomial([1.0])
-    for n in range(c.p):
-        t00 = Polynomial([-c.b[n] / c.a[n], 1.0 / c.a[n]])
-        t01 = -c.a[n - 1] / c.a[n]
+    for n in range(1, c.p + 1):
+        (t00, t01), _ = reference_transfer_matrix(c, n)
         m00, m01, m10, m11 = t00 * m00 + t01 * m10, t00 * m01 + t01 * m11, m00, m01
     return m00 + m11
 

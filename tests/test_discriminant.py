@@ -24,7 +24,15 @@ from jacobibands.discriminant import (
 )
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
-from conftest import free_operator, period2_operator, reference_critical_points, reference_discriminant
+from numpy.polynomial import Polynomial
+
+from conftest import (
+    free_operator,
+    period2_operator,
+    reference_critical_points,
+    reference_discriminant,
+    reference_transfer_matrix,
+)
 
 
 def free_case_trace(p, t):
@@ -35,6 +43,28 @@ def free_case_trace(p, t):
     if h > 1.0:
         return 2.0 * math.cosh(p * math.acosh(h))
     return (-1.0) ** p * 2.0 * math.cosh(p * math.acosh(-h))
+
+
+# The transfer matrices of the numpy reference: its site indexing and the
+# wrap a_0 = a_p fix every expansion the tests compare against.
+def test_transfer_matrix_unit_coefficients():
+    m = reference_transfer_matrix(new_periodic([1.0], [0.0]), 1)
+    assert m[0][0] == Polynomial([0.0, 1.0])
+    assert m[0][1] == Polynomial([-1.0])
+    assert m[1][0] == Polynomial([1.0])
+    assert m[1][1] == Polynomial([0.0])
+
+
+def test_transfer_matrix_second_site():
+    m = reference_transfer_matrix(period2_operator(), 2)
+    assert m[0][0] == Polynomial([-2.0, 1.0])
+    assert m[0][1] == Polynomial([-1.0])
+
+
+def test_transfer_matrix_wraps_first_site():
+    m = reference_transfer_matrix(new_periodic([2.0, 4.0], [0.0, 0.0]), 1)
+    assert m[0][0] == Polynomial([0.0, 0.5])
+    assert m[0][1] == Polynomial([-2.0])  # -a_0/a_1 with a_0 = a_p = 4
 
 
 def test_single_site_discriminant_is_linear():
