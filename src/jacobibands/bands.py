@@ -5,16 +5,21 @@ each gap, where the discriminant has a sign known from interlacing; with
 the two ends of the padded Gershgorin interval they cut the line into p
 pieces, each holding exactly one band. On a piece, discriminant - 2 and
 discriminant + 2 change sign exactly once, so solving both per piece
-(`float_root`, then a secant polish) yields the 2p edges,
-including touching bands. A knot whose value sits within evaluation noise
-of the gap's target +/-2 is either a touching point, where the slope is
-in noise too, or the edge of an open gap, which is moved to the gap's
-critical point. At a knot of either kind, one exact rational evaluation
-arbitrates for both neighboring pieces between a genuine touch (both
-edges snap onto the knot, gap length exactly zero) and a microscopic
-open gap (refined as usual). Edges around narrow open gaps, whose flat
-crossings would otherwise scatter by noise over slope, are re-refined
-exactly as well.
+yields the 2p edges, including touching bands. Each solve is a Newton
+iteration safeguarded by bisection inside that sign bracket, started at
+the Floquet eigenvalue of the edge (`floquet.band_edges_oracle`, called
+once per operator): the k-th solution of discriminant = +/-2 in sorted
+order lies in the k-th piece, doubled solutions included. The
+eigenvalues only seed: a wrong one costs steps, never moves an edge, and
+fails the oracle comparison of `ensemble.run_trial`, which reads them off
+the result. A knot whose value sits within evaluation noise of the gap's
+target +/-2 is either a touching point, where the slope is in noise too,
+or the edge of an open gap, which is moved to the gap's critical point.
+At a knot of either kind, one exact rational evaluation arbitrates for
+both neighboring pieces between a genuine touch (both edges snap onto the
+knot, gap length exactly zero) and a microscopic open gap (refined as
+usual). Edges around narrow open gaps, whose flat crossings would
+otherwise scatter by noise over slope, are re-refined exactly as well.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .discriminant import (
     DiscriminantData,
     eval_discriminant_bounded,
     eval_discriminant_slope,
+    # Also bound for the ("jacobibands.bands", "eval_discriminant_stable")
+    # entry of perfbench/tracing.py TARGETS; only the oracle bracket search
+    # calls it.
     eval_discriminant_stable,
     exact_root,
     gap_sign,
@@ -46,8 +54,8 @@ DEFAULT_CLOSED_TOL = 1e-9
 # eigenvalues instead of solving on the Dirichlet pieces.
 TRUSTED_PERIOD = 30
 
-# Steps of `float_root`. It reaches tol or the float resolution floor in
-# well under this many.
+# Steps of `float_root` and `_newton_edge`. Each reaches tol or the float
+# resolution floor in well under this many.
 _STEP_BUDGET = 300
 
 # Halvings by which the bracket of `float_root` may lag plain bisection
@@ -72,7 +80,8 @@ class BandStructure:
     edge_labels holds, per band, the discriminant target (+1 for +2,
     -1 for -2) that defined its lower and upper edge. min_gap is the
     smallest open gap, +inf when every gap is closed, and None when p = 1
-    and no gap exists at all.
+    and no gap exists at all. floquet_eigenvalues is the (plus, minus)
+    pair of `band_edges_oracle` that seeded the edge solves.
     """
 
     bands: tuple[Interval, ...]
@@ -83,6 +92,7 @@ class BandStructure:
     min_gap: float | None
     closed_gap_flags: tuple[bool, ...]
     closed_tol: float
+    floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
     def p(self) -> int:
@@ -248,11 +258,12 @@ def _gap_critical_point(c, x, s, slope, stop, tol):
     return lo if f_lo >= 0.0 else hi
 
 
-def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critical, tol):
+def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critical, seed, tol):
     """Unique solution of discriminant = target on a piece between knots.
 
     gl and gr are the knot residuals (`_gap_knot`) at the piece ends; None
-    at an interior knot means the edge is that knot (touching bands).
+    at an interior knot means the edge is that knot (touching bands). seed
+    is the Floquet eigenvalue of the edge.
     """
     if gl is None or gl == 0.0:
         return xl
@@ -268,32 +279,48 @@ def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critic
         raise EdgeCountMismatch(
             f"no sign change for target {target} on [{xl}, {xr}]: residuals ({gl}, {gr})"
         )
-    lo, flo, hi, fhi = float_root(lambda t: eval_discriminant_stable(c, t) - target, xl, gl, xr, gr, tol)
-    return _secant_polish(c, target, lo, flo, hi, fhi, xl, xr)
+    return _newton_edge(c, target, xl, gl, xr, gr, seed, tol)
 
 
-def _secant_polish(c, target, x0, f0, x1, f1, piece_lo, piece_hi):
-    """Sharpen a refined edge to float resolution with secant steps.
+def _newton_edge(c, target, lo, f_lo, hi, f_hi, x, tol):
+    """The solution of discriminant = target in [lo, hi], by safeguarded Newton from x.
 
-    The refined bracket is tol-wide; on steep edges that leaves the
-    evaluated discriminant far from the target even though the position
-    is fine. A few secant iterations push the residual down to the
-    evaluation noise floor. Steps are confined to the piece.
+    f_lo and f_hi carry the signs, which differ, of discriminant - target
+    at lo and hi. The bracket keeps that sign change. A Newton step is
+    taken when it lands strictly inside the bracket and is under half the
+    previous step; otherwise the bracket is bisected (rtsafe; Press et al.,
+    Numerical Recipes, section 9.4). A seed x outside (lo, hi) is replaced
+    by the secant point of the ends. D - target has only real roots r_i,
+    so f'/f = sum 1/(x - r_i), and |f/f'| <= tol puts a root within p * tol
+    of x: then x - f/f', clamped into the bracket, is returned. From a
+    Floquet eigenvalue this takes one evaluation of D and D'.
     """
-    best_x, best_f = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
-    for _ in range(4):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (piece_lo <= x2 <= piece_hi) or x2 == x1:
-            break
-        f2 = eval_discriminant_stable(c, x2) - target
-        if abs(f2) < abs(best_f):
-            best_x, best_f = x2, f2
-        if f2 == 0.0:
-            break
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return best_x
+    rising = f_hi > 0.0
+    if not lo < x < hi:
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    step = hi - lo
+    for _ in range(_STEP_BUDGET):
+        value, _, slope, _ = eval_discriminant_slope(c, x)
+        f = value - target
+        if f == 0.0:
+            return x
+        if (f > 0.0) == rising:
+            hi = x
+        else:
+            lo = x
+        dx = f / slope if slope != 0.0 else math.inf
+        if abs(dx) <= tol:
+            return min(max(x - dx, lo), hi)
+        if lo < x - dx < hi and abs(dx) < 0.5 * step:
+            x, step = x - dx, abs(dx)
+            continue
+        step = 0.5 * (hi - lo)
+        x = lo + step
+        if step <= tol or not lo < x < hi:
+            return x
+    raise NonConvergence(f"edge budget exhausted on [{lo}, {hi}]")
 
 
 # Open gaps narrower than this fraction of the spectrum carry flat
@@ -362,6 +389,7 @@ def _assemble(
     bands: list[Interval],
     labels: list[tuple[int, int]],
     closed_tol: float,
+    floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]],
 ) -> BandStructure:
     bands = _sharpen_flat_gap_edges(c, bands, labels)
     p = len(bands)
@@ -378,6 +406,7 @@ def _assemble(
         min_gap=min_gap,
         closed_gap_flags=flags,
         closed_tol=closed_tol,
+        floquet_eigenvalues=floquet_eigenvalues,
     )
 
 
@@ -401,7 +430,8 @@ def band_structure(
 
     Edges are refined to absolute accuracy tol (default 1e-12 times the
     Gershgorin width). Exactly p bands are always returned; closed gaps
-    appear as zero-length gaps between them, never as merged bands.
+    appear as zero-length gaps between them, never as merged bands. The
+    Floquet eigenvalues are computed once and seed every edge solve.
 
     use_oracle=None solves on the Dirichlet pieces up to TRUSTED_PERIOD;
     beyond it Floquet eigenvalues supply the edge brackets.
@@ -415,10 +445,15 @@ def band_structure(
     if not (tol > 0.0 and closed_tol > 0.0):
         raise ValueError("tolerances must be positive")
 
-    if use_oracle:
-        return _band_structure_from_oracle(c, tol, closed_tol)
-
     p = c.p
+    eigenvalues = band_edges_oracle(c)
+    if any(len(roots) != p for roots in eigenvalues):
+        raise EdgeCountMismatch(
+            f"oracle produced {len(eigenvalues[0])}/{len(eigenvalues[1])} edges, expected {p} each"
+        )
+    if use_oracle:
+        return _band_structure_from_oracle(c, tol, closed_tol, eigenvalues)
+
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     seeds = (lo_bound, *d.knots, hi_bound)
@@ -436,10 +471,11 @@ def band_structure(
     minus.append(v_hi + 2.0)
     bands: list[Interval] = []
     labels: list[tuple[int, int]] = []
+    seed_plus, seed_minus = eigenvalues
     for n in range(p):
         xl, xr = knots[n], knots[n + 1]
-        e_plus = _solve_on_piece(c, xl, plus[n], xr, plus[n + 1], 2.0, n > 0, n < p - 1, tol)
-        e_minus = _solve_on_piece(c, xl, minus[n], xr, minus[n + 1], -2.0, n > 0, n < p - 1, tol)
+        e_plus = _solve_on_piece(c, xl, plus[n], xr, plus[n + 1], 2.0, n > 0, n < p - 1, seed_plus[n], tol)
+        e_minus = _solve_on_piece(c, xl, minus[n], xr, minus[n + 1], -2.0, n > 0, n < p - 1, seed_minus[n], tol)
         if e_plus <= e_minus:
             bands.append(Interval(e_plus, e_minus))
             labels.append((1, -1))
@@ -451,11 +487,11 @@ def band_structure(
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    return _assemble(c, bands, labels, closed_tol)
+    return _assemble(c, bands, labels, closed_tol, eigenvalues)
 
 
 def _refine_near_oracle(c, x, target, tol, scale, roots):
-    """Edge refined from a sign change around an oracle eigenvalue; keeps x on failure.
+    """Edge refined by `_newton_edge` from x, inside a sign change around it; keeps x on failure.
 
     roots holds the eigenvalues of x's Floquet matrix, the solutions of
     discriminant = target. The bracket x +/- h widens only while h stays
@@ -476,19 +512,16 @@ def _refine_near_oracle(c, x, target, tol, scale, roots):
         if fh == 0.0:
             return hi
         if (fl > 0.0) != (fh > 0.0):
-            lo, fl, hi, fh = float_root(lambda t: eval_discriminant_stable(c, t) - target, lo, fl, hi, fh, tol)
-            return _secant_polish(c, target, lo, fl, hi, fh, lo, hi)
+            return _newton_edge(c, target, lo, fl, hi, fh, x, tol)
         h *= 8.0
     return x
 
 
-def _band_structure_from_oracle(c, tol, closed_tol) -> BandStructure:
-    """Bands from Floquet eigenvalues refined on the stable evaluation."""
-    plus, minus = band_edges_oracle(c)
+def _band_structure_from_oracle(c, tol, closed_tol, eigenvalues) -> BandStructure:
+    """Bands from the Floquet eigenvalues (plus, minus), each refined near itself."""
+    plus, minus = eigenvalues
     lo_bound, hi_bound = search_interval(c)
     scale = hi_bound - lo_bound
-    if len(plus) + len(minus) != 2 * c.p:
-        raise EdgeCountMismatch(f"oracle produced {len(plus) + len(minus)} edges, expected {2 * c.p}")
     refined = [
         (_refine_near_oracle(c, x, 2.0 * lab, tol, scale, roots), lab)
         for lab, roots in ((1, plus), (-1, minus))
@@ -505,7 +538,7 @@ def _band_structure_from_oracle(c, tol, closed_tol) -> BandStructure:
             )
         bands.append(Interval(e_lo, e_hi))
         labels.append((lab_lo, lab_hi))
-    return _assemble(c, bands, labels, closed_tol)
+    return _assemble(c, bands, labels, closed_tol, eigenvalues)
 
 
 def gap_report(bs: BandStructure, closed_tol: float = DEFAULT_CLOSED_TOL):

@@ -21,6 +21,11 @@ from .bands import DEFAULT_CLOSED_TOL, BandStructure, band_structure
 from .coefficients import PeriodicCoefficients, new_periodic, scalar_summary
 from .discriminant import build_discriminant
 from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiBandsError
+
+# Bound by name only for the ("jacobibands.ensemble", "band_edges_oracle")
+# entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up:
+# band_structure calls the oracle once and run_trial reads its eigenvalues
+# off the BandStructure, so nothing here calls it.
 from .floquet import band_edges_oracle
 from .potential import PotentialReport, potential_report, potential_to_jsonable
 
@@ -146,26 +151,15 @@ def run_trial(
         report.wall_time_s = time.perf_counter() - start
         return report
 
-    try:
-        plus, minus = band_edges_oracle(c)
-        disc_edges = sorted(bs.edges)
-        oracle_edges = sorted(plus + minus)
-        if len(plus) != c.p or len(minus) != c.p:
-            report.families["oracle"] = FamilyResult(
-                False, f"eigenvalue counts {len(plus)}/{len(minus)}, expected {c.p} each"
-            )
-        else:
-            discrepancy = max(abs(x - y) for x, y in zip(disc_edges, oracle_edges))
-            report.oracle_max_discrepancy = discrepancy
-            tol = ORACLE_MATCH_RTOL * max(1.0, bs.s)
-            if discrepancy <= tol:
-                report.families["oracle"] = FamilyResult(True)
-            else:
-                report.families["oracle"] = FamilyResult(
-                    False, f"max edge discrepancy {discrepancy:.3e} > {tol:.3e}"
-                )
-    except JacobiBandsError as exc:
-        report.families["oracle"] = FamilyResult(False, str(exc))
+    disc_edges = sorted(bs.edges)
+    oracle_edges = sorted(bs.floquet_eigenvalues[0] + bs.floquet_eigenvalues[1])
+    discrepancy = max(abs(x - y) for x, y in zip(disc_edges, oracle_edges))
+    report.oracle_max_discrepancy = discrepancy
+    tol = ORACLE_MATCH_RTOL * max(1.0, bs.s)
+    if discrepancy <= tol:
+        report.families["oracle"] = FamilyResult(True)
+    else:
+        report.families["oracle"] = FamilyResult(False, f"max edge discrepancy {discrepancy:.3e} > {tol:.3e}")
 
     try:
         pot = potential_report(data, bs)

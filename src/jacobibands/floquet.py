@@ -7,14 +7,18 @@ module finds those eigenvalues with a Householder reduction to tridiagonal
 form followed by implicit QL iterations.
 
 The QL kernel (`tridiagonal_eigenvalues`) is shared: the band path uses
-it for the Dirichlet eigenvalues that serve as its knots. The oracle still
-checks the band edges independently: it builds its own boundary-condition
-matrices, wrap entries included, reduces them with its own Householder
-pass, and takes their eigenvalues as the edges, while the band path gets
-its edges by solving discriminant = +/-2 on the transfer-product
-evaluation and uses eigenvalues only to bracket, each knot checked by the
-sign of the discriminant there. A fault in the shared kernel shows either
-as a failed knot check or as an edge mismatch.
+it for the Dirichlet eigenvalues that serve as its knots. The band path
+also calls `band_edges_oracle` once per operator and starts each edge
+solve at its eigenvalue. Up to `bands.TRUSTED_PERIOD` those eigenvalues
+only seed: each edge is still
+the one solution of discriminant = +/-2 in a bracket cut by the
+independent Dirichlet knots, each knot checked by the sign of the
+discriminant there, so a wrong eigenvalue costs Newton steps but not the
+edge, and shows as an edge mismatch when `ensemble.run_trial` compares
+the edges against the eigenvalues the BandStructure carries. The oracle
+builds its own boundary-condition matrices, wrap entries included, and
+reduces them with its own Householder pass. A fault in the shared kernel
+shows either as a failed knot check or as an edge mismatch.
 """
 
 from __future__ import annotations

@@ -113,15 +113,20 @@ def count_exact_calls(monkeypatch, module):
 
 
 def count_float_calls(monkeypatch, module):
-    """Count the calls module makes to eval_discriminant_stable; returns a one-item list."""
+    """Count the calls module makes to the float evaluators of D; returns a one-item list.
+
+    Counted are eval_discriminant_stable, eval_discriminant_bounded and
+    eval_discriminant_slope, each where module binds it.
+    """
     calls = [0]
-    inner = module.eval_discriminant_stable
+    for name in ("eval_discriminant_stable", "eval_discriminant_bounded", "eval_discriminant_slope"):
+        inner = getattr(module, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return inner(*args)
+        def counted(*args, inner=inner):
+            calls[0] += 1
+            return inner(*args)
 
-    monkeypatch.setattr(module, "eval_discriminant_stable", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -14,6 +14,7 @@ from jacobibands import (
 )
 from jacobibands import bands as bands_mod
 from jacobibands import discriminant as discriminant_mod
+from jacobibands import ensemble as ensemble_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
 from jacobibands.discriminant import DiscriminantData, eval_discriminant_stable
 from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
@@ -230,21 +231,58 @@ def test_long_period_blocks_pass_every_family():
 
 
 def test_long_period_uses_oracle_automatically(monkeypatch):
-    calls = []
+    # One Floquet call per trial on either path: band_structure seeds its
+    # edge solves with it and run_trial compares the edges against it.
+    calls, oracle_path = [], []
     inner = bands_mod.band_edges_oracle
+    inner_path = bands_mod._band_structure_from_oracle
 
     def counted(c):
         calls.append(c)
         return inner(c)
 
+    def path(c, *args):
+        oracle_path.append(c)
+        return inner_path(c, *args)
+
     monkeypatch.setattr(bands_mod, "band_edges_oracle", counted)
-    p = 32
-    c = new_periodic([1.0] * p, [0.1 * math.sin(2.0 * math.pi * k / p) for k in range(p)])
-    bs = band_structure(build_discriminant(c))
-    assert calls == [c]
-    assert bs.p == p
-    assert bs.total_band_measure <= 4.0 + 1e-9
-    assert bs.total_band_measure + bs.total_gap_measure == pytest.approx(bs.s, abs=1e-9)
+    monkeypatch.setattr(ensemble_mod, "band_edges_oracle", counted)
+    monkeypatch.setattr(bands_mod, "_band_structure_from_oracle", path)
+    for p in (8, 32):
+        calls.clear()
+        oracle_path.clear()
+        c = new_periodic([1.0] * p, [0.1 * math.sin(2.0 * math.pi * k / p) for k in range(p)])
+        t = run_trial(c)
+        assert t.all_passed, (p, {n: r.detail for n, r in t.families.items() if not r.passed})
+        assert calls == [c]
+        assert oracle_path == ([c] if p > bands_mod.TRUSTED_PERIOD else [])
+        bs = t.band_structure
+        assert bs.p == p
+        assert bs.total_band_measure <= 4.0 + 1e-9
+        assert bs.total_band_measure + bs.total_gap_measure == pytest.approx(bs.s, abs=1e-9)
+
+
+@pytest.mark.parametrize("corrupt", [lambda x: x + 1e-6, lambda x: 0.0], ids=["shifted", "zero"])
+def test_floquet_eigenvalues_only_seed(corrupt, monkeypatch):
+    # Each edge is the one solution of D = +/-2 in a bracket from the
+    # Dirichlet knots; its Floquet eigenvalue only starts the solve. A wrong
+    # eigenvalue costs steps, not accuracy, and fails the oracle family.
+    inner = bands_mod.band_edges_oracle
+
+    def corrupted(c):
+        return tuple(tuple(corrupt(x) for x in roots) for roots in inner(c))
+
+    monkeypatch.setattr(bands_mod, "band_edges_oracle", corrupted)
+    ops = [sample_operator(ACCEPTANCE_CONFIG, k) for k in range(50)]
+    ops += [new_periodic(*blocks(0, k, q_lo=3)) for k in range(50)]
+    for k, c in enumerate(ops):
+        t = run_trial(c)
+        assert not t.families["oracle"].passed, k
+        failed = [n for n, r in t.families.items() if n != "oracle" and not r.passed]
+        assert not failed, (k, failed)
+        bs = t.band_structure
+        for x, y in zip(bs.edges, numpy_edges(c)):
+            assert abs(x - y) <= 1e-12 * max(1.0, bs.s), k
 
 
 def test_corrupted_critical_points_raise():
@@ -296,15 +334,18 @@ def test_flat_gap_edges_are_exact(eps, monkeypatch):
 
 
 def test_float_edge_refinement_budget(monkeypatch):
-    # Bisection to the 1e-12 tolerance took about 38 float evaluations per
-    # edge on these operators; Illinois regula falsi plus the polish ~12.5.
+    # Every float evaluation of D in bands, per edge: bisection to the 1e-12
+    # tolerance took about 38, Illinois regula falsi plus a secant polish
+    # about 12.5. Newton from the Floquet eigenvalue takes one per solved
+    # edge; the two ends of the search interval and the knots moved to a
+    # critical point bring the total to about 1.2.
     calls = count_float_calls(monkeypatch, bands_mod)
     edges = 0
     for k in range(300):
         c = sample_operator(ACCEPTANCE_CONFIG, k)
         bs = band_structure(build_discriminant(c))
         edges += len(bs.edges)
-    assert calls[0] / edges <= 15.0
+    assert calls[0] / edges <= 2.0
 
 
 def test_one_exact_arbitration_per_closed_gap(monkeypatch):

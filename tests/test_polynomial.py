@@ -1,4 +1,4 @@
-"""float_root, the float bracketing root finder behind every band edge."""
+"""float_root, the float bracketing root finder behind a gap's critical point."""
 
 import math
 
