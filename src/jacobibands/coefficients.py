@@ -120,7 +120,17 @@ def load_operator(path) -> PeriodicCoefficients:
 
 
 def parse_operator(payload) -> PeriodicCoefficients:
-    """Build coefficients from a decoded {"a": [...], "b": [...]} object."""
+    """Build coefficients from a decoded {"a": [...], "b": [...]} object.
+
+    Raises LengthMismatch unless "a" and "b" are arrays, and NonFiniteEntry
+    for an entry that is not a number (strings and booleans included).
+    """
     if not isinstance(payload, dict) or "a" not in payload or "b" not in payload:
         raise LengthMismatch('operator JSON must be an object with keys "a" and "b"')
+    for key in ("a", "b"):
+        if not isinstance(payload[key], list):
+            raise LengthMismatch(f'operator JSON "{key}" must be an array, got {payload[key]!r}')
+        for n, x in enumerate(payload[key]):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise NonFiniteEntry(f"{key}[{n}] = {x!r} is not a number")
     return new_periodic(payload["a"], payload["b"])

@@ -14,7 +14,7 @@ class NonPositiveOffDiagonal(JacobiBandsError):
 
 
 class NonFiniteEntry(JacobiBandsError):
-    """A coefficient is NaN or infinite."""
+    """A coefficient is not a finite number."""
 
 
 class NonConvergence(JacobiBandsError):

@@ -34,7 +34,9 @@ from .discriminant import (
 from .errors import AlternationFailure, CapacityMismatch
 
 # Edges whose evaluated |discriminant| strays from 2 by more than this are
-# re-refined exactly (`_refine_value_exact`) before entering the sup.
+# re-refined (`_refine_value_exact`) before entering the sup: the float error
+# bound certifies a crossing of +/-2 next to the edge, and exact arithmetic
+# runs only where that bound cannot decide.
 _EXACT_REFINE_TRIGGER = 1e-10
 
 _CAPACITY_RTOL = 1e-9
@@ -87,30 +89,42 @@ def capacity_interval(iv: Interval) -> float:
 
 
 def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
-    """|discriminant| at the true edge near x, by exact regula falsi.
+    """|discriminant| at the true edge near x, certified at x +/- h.
 
-    Steep edges leave no float whose value is near the target; solving
-    trace = target * prod(a) exactly recovers the value to 1e-12 relative
-    whatever the slope. The bracket x +/- h widens until the exact signs
-    differ, but not past the search interval, which holds every root. With
-    no sign change (a touching edge) the float value, fine there, is returned.
+    Steep edges leave no float whose value is near the target, but at a
+    true edge |D| is exactly |target|: what needs certifying is only that
+    D = target somewhere in [x - h, x + h]. At each end the float value
+    with its running error bound decides the side of the target wherever
+    they differ by more than the bound; sides that differ return |target|.
+    Only a step where the bound cannot decide an end evaluates both ends
+    exactly and, on a sign change, solves trace = target * prod(a) by
+    exact regula falsi, to 1e-12 relative whatever the slope. The bracket
+    widens until the signs differ, but not past the search interval, which
+    holds every root. With no sign change (a touching edge) the float
+    value, fine there, is returned.
     """
     c = d.coeffs
-    ap = offdiag_product_exact(c)
-    tgt = target * ap
     lo_bound, hi_bound = search_interval(c)
-    fx, h = Fraction(x), Fraction(max(1e-13 * max(1.0, abs(x)), 1e-15))
+    h = max(1e-13 * max(1.0, abs(x)), 1e-15)
     for _ in range(30):
-        lo, hi = fx - h, fx + h
+        lo, hi = x - h, x + h
         if lo <= lo_bound and hi >= hi_bound:
             break
-        s_lo, s_hi = scaled_trace_exact(c, lo), scaled_trace_exact(c, hi)
-        side_lo, side_hi = trace_side(s_lo, tgt), trace_side(s_hi, tgt)
-        if side_lo == 0 or side_hi == 0:
-            return abs(target)
-        if side_lo != side_hi:
-            _, s = exact_root(lambda t: scaled_trace_exact(c, t), tgt, lo, hi, s_lo, s_hi, rtol=2 * ap / 10**12)
-            return abs(trace_ratio(s, ap))
+        (v_lo, e_lo), (v_hi, e_hi) = eval_discriminant_bounded(c, lo), eval_discriminant_bounded(c, hi)
+        if abs(v_lo - target) > e_lo and abs(v_hi - target) > e_hi:
+            if (v_lo > target) != (v_hi > target):
+                return abs(target)
+        else:
+            ap = offdiag_product_exact(c)
+            tgt = target * ap
+            lo, hi = Fraction(x) - Fraction(h), Fraction(x) + Fraction(h)
+            s_lo, s_hi = scaled_trace_exact(c, lo), scaled_trace_exact(c, hi)
+            side_lo, side_hi = trace_side(s_lo, tgt), trace_side(s_hi, tgt)
+            if side_lo == 0 or side_hi == 0:
+                return abs(target)
+            if side_lo != side_hi:
+                _, s = exact_root(lambda t: scaled_trace_exact(c, t), tgt, lo, hi, s_lo, s_hi, rtol=2 * ap / 10**12)
+                return abs(trace_ratio(s, ap))
         h *= 8
     value, _ = eval_discriminant_bounded(c, x)
     return abs(value)

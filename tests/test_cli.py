@@ -55,6 +55,12 @@ def test_malformed_operator_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_numeric_entry_is_a_clean_error(tmp_path, capsys):
+    op = write_operator(tmp_path, ["x"], [1])
+    assert main(["verify", str(op)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_ensemble_runs_and_reports(tmp_path, capsys):
     report = tmp_path / "ensemble.json"
     code = main(["ensemble", "--trials", "6", "--seed", "11", "--report", str(report)])

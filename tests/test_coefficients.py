@@ -145,3 +145,11 @@ def test_parse_operator_requires_keys():
         parse_operator({"a": [1.0]})
     with pytest.raises(LengthMismatch):
         parse_operator([1, 2, 3])
+    with pytest.raises(LengthMismatch):
+        parse_operator({"a": "12", "b": "34"})
+    with pytest.raises(LengthMismatch):
+        parse_operator({"a": 5, "b": 3})
+    with pytest.raises(NonFiniteEntry, match=r"a\[0\]"):
+        parse_operator({"a": [True], "b": [1]})
+    with pytest.raises(NonFiniteEntry, match=r"a\[0\]"):
+        parse_operator({"a": ["x"], "b": [1]})

@@ -23,6 +23,7 @@ from jacobibands.discriminant import (
     trace_side,
 )
 from jacobibands.ensemble import EnsembleConfig, sample_operator
+from jacobibands.floquet import band_edges_oracle
 
 from numpy.polynomial import Polynomial
 
@@ -168,6 +169,21 @@ def test_exact_evaluator_is_consistent():
             exact = float(eval_discriminant_exact(c, t))
             value, err = eval_discriminant_bounded(c, t)
             assert abs(value - exact) <= err + 1e-12 * (1 + abs(exact))
+    # potential certifies steep edges from the bound at x +/- h, so there it
+    # must hold with no slack: at every Floquet eigenvalue x and at x +/- h
+    ops = [sample_operator(EnsembleConfig(seed=42), k) for k in range(300)]
+    for p in (24, 40):
+        ops += [sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), k) for k in range(3)]
+    points = 0
+    for c in ops:
+        plus, minus = band_edges_oracle(c)
+        for x in plus + minus:
+            h = max(1e-13 * max(1.0, abs(x)), 1e-15)
+            for t in (x - h, x, x + h):
+                value, err = eval_discriminant_bounded(c, t)
+                assert abs(Fraction(value) - eval_discriminant_exact(c, t)) <= Fraction(err), (c, t)
+                points += 1
+    assert points > 12_000
 
 
 def test_scaled_trace_matches_discriminant_times_product():

@@ -16,6 +16,7 @@ from jacobibands import (
 )
 from jacobibands import potential as potential_mod
 from jacobibands.bands import Interval
+from jacobibands.discriminant import offdiag_product_exact, scaled_trace_exact, trace_side
 from jacobibands.ensemble import EnsembleConfig, run_trial, sample_operator
 
 from conftest import count_exact_calls, free_operator, period2_operator
@@ -182,7 +183,43 @@ def test_exact_refinement_certifies_steep_edges_in_few_calls(monkeypatch):
     assert len(refined) > 300
     for target, value in refined:
         assert abs(value - abs(target)) <= 2e-12 * abs(target)
-    assert calls[0] / len(refined) <= 4.0
+    assert calls[0] / len(refined) <= 0.25
+
+
+def test_float_certificate_agrees_with_exact_signs(monkeypatch):
+    # Each widening step of _refine_value_exact evaluates the bounded float D
+    # at x - h and x + h; where both clear the target by more than the bound,
+    # their signs are taken as exact, and differing signs certify an edge.
+    evaluations = []
+    steps = []
+    inner_refine = potential_mod._refine_value_exact
+    inner_eval = potential_mod.eval_discriminant_bounded
+
+    def recorded_eval(c, t):
+        value, err = inner_eval(c, t)
+        evaluations.append((c, t, value, err))
+        return value, err
+
+    def recorded_refine(d, x, target):
+        evaluations.clear()
+        value = inner_refine(d, x, target)
+        # pairs (x - h, x + h), then at most one fallback evaluation at x
+        steps.extend((target, evaluations[i], evaluations[i + 1]) for i in range(0, len(evaluations) - 1, 2))
+        return value
+
+    monkeypatch.setattr(potential_mod, "_refine_value_exact", recorded_refine)
+    monkeypatch.setattr(potential_mod, "eval_discriminant_bounded", recorded_eval)
+    cfg = EnsembleConfig(seed=42)
+    for k in range(300):
+        potential_report(*pipeline(sample_operator(cfg, k)))
+    certified = 0
+    for target, *ends in steps:
+        if all(abs(value - target) > err for _, _, value, err in ends):
+            sides = [math.copysign(1, value - target) for _, _, value, err in ends]
+            for (c, t, _, _), side in zip(ends, sides):
+                assert trace_side(scaled_trace_exact(c, t), target * offdiag_product_exact(c)) == side
+            certified += sides[0] != sides[1]
+    assert certified > 300
 
 
 def test_long_period_refinement_stays_bounded(monkeypatch):
