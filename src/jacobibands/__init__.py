@@ -30,7 +30,6 @@ from .discriminant import (
     DiscriminantData,
     build_discriminant,
     eval_discriminant_exact,
-    eval_discriminant_stable,
 )
 from .ensemble import (
     EnsembleConfig,
@@ -104,7 +103,6 @@ __all__ = [
     "corollary_min_band",
     "equilibrium_band_measures",
     "eval_discriminant_exact",
-    "eval_discriminant_stable",
     "evaluate_all_bounds",
     "floquet_matrix",
     "gap_report",

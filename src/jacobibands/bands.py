@@ -16,10 +16,12 @@ the result. A knot whose value sits within evaluation noise of the gap's
 target +/-2 is either a touching point, where the slope is in noise too,
 or the edge of an open gap, which is moved to the gap's critical point.
 At a knot of either kind, one exact rational evaluation arbitrates for
-both neighboring pieces between a genuine touch (both edges snap onto the
-knot, gap length exactly zero) and a microscopic open gap (refined as
-usual). Edges around narrow open gaps, whose flat crossings would
-otherwise scatter by noise over slope, are re-refined exactly as well.
+both neighboring pieces: its sign alone, with no tolerance, tells a
+genuine touch (value on the target or on the band side: both edges snap
+onto the knot, gap length exactly zero) from an open gap, however
+shallow (refined as usual). Edges around narrow open gaps, whose flat
+crossings would otherwise scatter by noise over slope, are re-refined
+exactly as well. This is the one path at every period.
 """
 
 from __future__ import annotations
@@ -29,15 +31,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import PeriodicCoefficients
 from .discriminant import (
     DiscriminantData,
     eval_discriminant_bounded,
     eval_discriminant_slope,
-    # Also bound for the ("jacobibands.bands", "eval_discriminant_stable")
-    # entry of perfbench/tracing.py TARGETS; only the oracle bracket search
-    # calls it.
-    eval_discriminant_stable,
     exact_root,
     gap_sign,
     offdiag_product_exact,
@@ -50,9 +47,10 @@ from .floquet import band_edges_oracle
 
 DEFAULT_CLOSED_TOL = 1e-9
 
-# Beyond this period band_structure takes its edge brackets from the Floquet
-# eigenvalues instead of solving on the Dirichlet pieces.
-TRUSTED_PERIOD = 30
+# Bound by name only for the ("jacobibands.bands", "eval_discriminant_stable")
+# entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up;
+# nothing calls it, so that "bands.float" span never opens.
+eval_discriminant_stable = None
 
 # Steps of `float_root` and `_newton_edge`. Each reaches tol or the float
 # resolution floor in well under this many.
@@ -167,21 +165,17 @@ def float_root(f, lo, f_lo, hi, f_hi, tol):
     raise NonConvergence(f"root budget exhausted on [{lo}, {hi}]")
 
 
-def _crossing_beyond_resolution(c, x, target, err_bound):
+def _crossing_beyond_resolution(c, x, target):
     """Exact arbitration at a knot, flat to within noise, whose float value sits in noise.
 
     Evaluates the discriminant minus target exactly. A value at the target
     or on the band side means a touching point (the knot, a Dirichlet
     eigenvalue or a searched critical point, carries position error
     ~1e-12 at most, which perturbs its value only at order curvature *
-    1e-24). A value strictly beyond the target means an open
-    gap, but the float refiner can only place its edges to within the
-    evaluation noise; gaps whose exact overshoot is inside that noise are
-    reported as touching. Returns the corrected sign of value - target,
-    or None to snap.
+    1e-24). A value strictly beyond the target, however slightly, means an
+    open gap. Returns the exact sign of value - target, or None to snap.
     """
-    ap = offdiag_product_exact(c)
-    side = trace_side(scaled_trace_exact(c, x), Fraction(target) * ap, Fraction(0.5 * err_bound) * ap)
+    side = trace_side(scaled_trace_exact(c, x), Fraction(target) * offdiag_product_exact(c))
     if side == 0 or (side > 0) != (target > 0):
         return None
     return 1.0 if target > 0 else -1.0
@@ -201,7 +195,7 @@ def _knot_residual(c, x, value, err, target, critical):
     """
     g = value - target
     if critical and _in_noise(g, err, target):
-        corrected = _crossing_beyond_resolution(c, x, target, err)
+        corrected = _crossing_beyond_resolution(c, x, target)
         if corrected is None:
             return None
         g = corrected * max(abs(g), 1e-300)
@@ -351,8 +345,8 @@ def _exact_edge_position(c, x, target, inner, span):
         if side_outer == 0:
             return outer
         if side_outer != side_inner:
-            t, _ = exact_root(lambda t: scaled_trace_exact(c, t), tgt, Fraction(inner), Fraction(outer),
-                              s_inner, s_outer, wtol=Fraction(1e-13 * max(1.0, abs(x))))
+            t = exact_root(lambda t: scaled_trace_exact(c, t), tgt, Fraction(inner), Fraction(outer),
+                           s_inner, s_outer, wtol=Fraction(1e-13 * max(1.0, abs(x))))
             return float(t)
         step *= 4.0
     return x
@@ -384,32 +378,6 @@ def _sharpen_flat_gap_edges(c, bands, labels):
     return out
 
 
-def _assemble(
-    c: PeriodicCoefficients,
-    bands: list[Interval],
-    labels: list[tuple[int, int]],
-    closed_tol: float,
-    floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]],
-) -> BandStructure:
-    bands = _sharpen_flat_gap_edges(c, bands, labels)
-    p = len(bands)
-    gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
-    s = bands[-1].hi - bands[0].lo
-    total = math.fsum(b.length for b in bands)
-    min_gap, flags = _gap_stats(gaps, s, closed_tol, p)
-    return BandStructure(
-        bands=tuple(bands),
-        gaps=gaps,
-        edge_labels=tuple(labels),
-        s=s,
-        total_band_measure=total,
-        min_gap=min_gap,
-        closed_gap_flags=flags,
-        closed_tol=closed_tol,
-        floquet_eigenvalues=floquet_eigenvalues,
-    )
-
-
 def _gap_stats(gaps, s, closed_tol, p):
     if p == 1:
         return None, ()
@@ -424,7 +392,6 @@ def band_structure(
     d: DiscriminantData,
     tol: float | None = None,
     closed_tol: float = DEFAULT_CLOSED_TOL,
-    use_oracle: bool | None = None,
 ) -> BandStructure:
     """Extract the p bands and p-1 gaps from a discriminant.
 
@@ -432,13 +399,8 @@ def band_structure(
     Gershgorin width). Exactly p bands are always returned; closed gaps
     appear as zero-length gaps between them, never as merged bands. The
     Floquet eigenvalues are computed once and seed every edge solve.
-
-    use_oracle=None solves on the Dirichlet pieces up to TRUSTED_PERIOD;
-    beyond it Floquet eigenvalues supply the edge brackets.
     """
     c = d.coeffs
-    if use_oracle is None:
-        use_oracle = c.p > TRUSTED_PERIOD
     lo_bound, hi_bound = search_interval(c)
     if tol is None:
         tol = 1e-12 * max(1.0, hi_bound - lo_bound)
@@ -451,9 +413,6 @@ def band_structure(
         raise EdgeCountMismatch(
             f"oracle produced {len(eigenvalues[0])}/{len(eigenvalues[1])} edges, expected {p} each"
         )
-    if use_oracle:
-        return _band_structure_from_oracle(c, tol, closed_tol, eigenvalues)
-
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     seeds = (lo_bound, *d.knots, hi_bound)
@@ -487,58 +446,21 @@ def band_structure(
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    return _assemble(c, bands, labels, closed_tol, eigenvalues)
-
-
-def _refine_near_oracle(c, x, target, tol, scale, roots):
-    """Edge refined by `_newton_edge` from x, inside a sign change around it; keeps x on failure.
-
-    roots holds the eigenvalues of x's Floquet matrix, the solutions of
-    discriminant = target. The bracket x +/- h widens only while h stays
-    below half the distance to the nearest of them that is distinct from
-    x, so any sign change found belongs to x. At a touching edge (a double
-    eigenvalue) no sign change forms and x stays.
-    """
-    h = max(1e-12 * scale, 1e-15 * max(1.0, abs(x)))
-    reach = 0.5 * min((abs(y - x) for y in roots if abs(y - x) > 2.0 * h), default=math.inf)
-    for _ in range(40):
-        if h >= reach:
-            return x
-        lo, hi = x - h, x + h
-        fl = eval_discriminant_stable(c, lo) - target
-        fh = eval_discriminant_stable(c, hi) - target
-        if fl == 0.0:
-            return lo
-        if fh == 0.0:
-            return hi
-        if (fl > 0.0) != (fh > 0.0):
-            return _newton_edge(c, target, lo, fl, hi, fh, x, tol)
-        h *= 8.0
-    return x
-
-
-def _band_structure_from_oracle(c, tol, closed_tol, eigenvalues) -> BandStructure:
-    """Bands from the Floquet eigenvalues (plus, minus), each refined near itself."""
-    plus, minus = eigenvalues
-    lo_bound, hi_bound = search_interval(c)
-    scale = hi_bound - lo_bound
-    refined = [
-        (_refine_near_oracle(c, x, 2.0 * lab, tol, scale, roots), lab)
-        for lab, roots in ((1, plus), (-1, minus))
-        for x in roots
-    ]
-    refined.sort()
-    bands: list[Interval] = []
-    labels: list[tuple[int, int]] = []
-    for n in range(c.p):
-        (e_lo, lab_lo), (e_hi, lab_hi) = refined[2 * n], refined[2 * n + 1]
-        if lab_lo == lab_hi:
-            raise EdgeCountMismatch(
-                f"band {n} edges carry the same discriminant sign {lab_lo}"
-            )
-        bands.append(Interval(e_lo, e_hi))
-        labels.append((lab_lo, lab_hi))
-    return _assemble(c, bands, labels, closed_tol, eigenvalues)
+    bands = _sharpen_flat_gap_edges(c, bands, labels)
+    gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
+    span = bands[-1].hi - bands[0].lo
+    min_gap, flags = _gap_stats(gaps, span, closed_tol, p)
+    return BandStructure(
+        bands=tuple(bands),
+        gaps=gaps,
+        edge_labels=tuple(labels),
+        s=span,
+        total_band_measure=math.fsum(b.length for b in bands),
+        min_gap=min_gap,
+        closed_gap_flags=flags,
+        closed_tol=closed_tol,
+        floquet_eigenvalues=eigenvalues,
+    )
 
 
 def gap_report(bs: BandStructure, closed_tol: float = DEFAULT_CLOSED_TOL):

@@ -19,9 +19,8 @@ numerators over a common denominator. A point t = T/D joins that
 denominator through an lcm, and the cleared-denominator transfer product
 then runs in plain int arithmetic: no Fraction and no gcd inside the
 loop. The result stays an unreduced integer pair: reducing it costs a gcd
-on the full-size numerator, and callers only need it compared with a
-rational (`trace_side`, by integer cross products) or as a float
-(`trace_ratio`).
+on the full-size numerator, and callers only need its exact side of a
+rational (`trace_side`, by integer cross products).
 """
 
 from __future__ import annotations
@@ -72,24 +71,8 @@ def search_interval(c: PeriodicCoefficients, pad_fraction: float = 0.01) -> tupl
     return s.gershgorin_lo - pad, s.gershgorin_hi + pad
 
 
-def eval_discriminant_stable(c: PeriodicCoefficients, t: float) -> float:
-    """Trace of the numeric transfer product at t, taken site p down to 1."""
-    a, b = c.a, c.b
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    for n in range(c.p):
-        t00 = (t - b[n]) / a[n]
-        t01 = -a[n - 1] / a[n]
-        m00, m01, m10, m11 = (
-            t00 * m00 + t01 * m10,
-            t00 * m01 + t01 * m11,
-            m00,
-            m01,
-        )
-    return m00 + m11
-
-
 def eval_discriminant_bounded(c: PeriodicCoefficients, t: float) -> tuple[float, float]:
-    """Stable evaluation plus a running forward-error bound.
+    """Trace of the numeric transfer product at t, taken site p down to 1, with an error bound.
 
     The bound tracks |T|*E + u*|T|*|M| through the product and is used to
     decide when a critical value is indistinguishable from +/-2.
@@ -217,53 +200,42 @@ def _residual(s, y: Fraction) -> tuple[int, int]:
     return s[0] * y.denominator - y.numerator * s[1], s[1] * y.denominator
 
 
-def trace_side(s, y: Fraction, bound: Fraction = Fraction(0)) -> int:
-    """Sign of s - y for a `scaled_trace_exact` pair s; 0 where |s - y| <= bound."""
-    n, d = _residual(s, y)
-    if abs(n) * bound.denominator <= bound.numerator * d:
-        return 0
-    return 1 if n > 0 else -1
+def trace_side(s, y: Fraction) -> int:
+    """Sign of s - y for a `scaled_trace_exact` pair s: -1, 0 or 1."""
+    n, _ = _residual(s, y)
+    return (n > 0) - (n < 0)
 
 
-def trace_ratio(s, y: Fraction) -> float:
-    """s / y for a `scaled_trace_exact` pair s, correctly rounded to a float."""
-    return s[0] * y.denominator / (s[1] * y.numerator)
-
-
-def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, rtol=Fraction(0), wtol=Fraction(0)):
+def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, wtol: Fraction) -> Fraction:
     """Solve f(t) = y exactly between dyadic a and b by Illinois regula falsi.
 
     f maps rationals to (numerator, positive denominator) integer pairs;
     f_a = f(a) and f_b = f(b) lie strictly on opposite sides of y, and
-    y is a Fraction. Returns (t, f(t)) at the first secant point with
-    |f(t) - y| <= rtol, or at the latest once the bracket is within wtol.
+    y is a Fraction. Returns the latest secant point t once f(t) = y or
+    the bracket is within wtol.
     Points are integers over a power of two, each rounded to a grid of 2^-k
     of the bracket (k the fewest bits for a step under 1/16 of the
     tolerance) and clamped strictly inside. A point on the side of the last
     one halves the residual of the end kept (Dowell & Jarratt, BIT 11, 1971).
-    A bracket a few ulps wide is linear to many digits: one step meets rtol.
     """
     den = math.lcm(a.denominator, b.denominator)
     a, b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     (na, da), (nb, db) = _residual(f_a, y), _residual(f_b, y)
     for _ in range(100):
         u, w = abs(na * db), abs(nb * da)  # the secant point is u / (u + w) of the way to b
-        q = (16 * (u + w) * rtol.denominator // (da * db * rtol.numerator) if rtol
-             else 16 * abs(b - a) * wtol.denominator // (den * wtol.numerator))
-        k = max(q.bit_length(), 1)
+        k = max((16 * abs(b - a) * wtol.denominator // (den * wtol.numerator)).bit_length(), 1)
         m = (a << k) + (b - a) * min(max((u << k) // (u + w), 1), (1 << k) - 1)
         a, b, den = a << k, b << k, den << k
         t = Fraction(m, den)
-        v = f(t)
-        nm, dm = _residual(v, y)
+        nm, dm = _residual(f(t), y)
         if (nm > 0) == (nb > 0):
             da <<= 1
         else:
             a, na, da = b, nb, db
         b, nb, db = m, nm, dm
-        if abs(nm) * rtol.denominator <= rtol.numerator * dm or abs(b - a) * wtol.denominator <= wtol.numerator * den:
+        if nm == 0 or abs(b - a) * wtol.denominator <= wtol.numerator * den:
             break
-    return t, v
+    return t
 
 
 def dirichlet_eigenvalues(c: PeriodicCoefficients) -> tuple[float, ...]:

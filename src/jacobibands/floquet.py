@@ -9,12 +9,11 @@ form followed by implicit QL iterations.
 The QL kernel (`tridiagonal_eigenvalues`) is shared: the band path uses
 it for the Dirichlet eigenvalues that serve as its knots. The band path
 also calls `band_edges_oracle` once per operator and starts each edge
-solve at its eigenvalue. Up to `bands.TRUSTED_PERIOD` those eigenvalues
-only seed: each edge is still
-the one solution of discriminant = +/-2 in a bracket cut by the
-independent Dirichlet knots, each knot checked by the sign of the
-discriminant there, so a wrong eigenvalue costs Newton steps but not the
-edge, and shows as an edge mismatch when `ensemble.run_trial` compares
+solve at its eigenvalue. At every period those eigenvalues only seed:
+each edge is still the one solution of discriminant = +/-2 in a bracket
+cut by the independent Dirichlet knots, each knot checked by the sign of
+the discriminant there, so a wrong eigenvalue costs Newton steps but not
+the edge, and shows as an edge mismatch when `ensemble.run_trial` compares
 the edges against the eigenvalues the BandStructure carries. The oracle
 builds its own boundary-condition matrices, wrap entries included, and
 reduces them with its own Householder pass. A fault in the shared kernel

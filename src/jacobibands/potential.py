@@ -24,11 +24,9 @@ from .coefficients import offdiag_product, scalar_summary
 from .discriminant import (
     DiscriminantData,
     eval_discriminant_bounded,
-    exact_root,
     offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
-    trace_ratio,
     trace_side,
 )
 from .errors import AlternationFailure, CapacityMismatch
@@ -95,13 +93,12 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     true edge |D| is exactly |target|: what needs certifying is only that
     D = target somewhere in [x - h, x + h]. At each end the float value
     with its running error bound decides the side of the target wherever
-    they differ by more than the bound; sides that differ return |target|.
-    Only a step where the bound cannot decide an end evaluates both ends
-    exactly and, on a sign change, solves trace = target * prod(a) by
-    exact regula falsi, to 1e-12 relative whatever the slope. The bracket
-    widens until the signs differ, but not past the search interval, which
-    holds every root. With no sign change (a touching edge) the float
-    value, fine there, is returned.
+    they differ by more than the bound. Only a step where the bound cannot
+    decide an end takes the exact signs of both ends instead. Sides that
+    differ, by either test, return |target|. The bracket widens until the
+    signs differ, but not past the search interval, which holds every
+    root. With no sign change (a touching edge) the float value, fine
+    there, is returned.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(c)
@@ -115,16 +112,11 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
             if (v_lo > target) != (v_hi > target):
                 return abs(target)
         else:
-            ap = offdiag_product_exact(c)
-            tgt = target * ap
-            lo, hi = Fraction(x) - Fraction(h), Fraction(x) + Fraction(h)
-            s_lo, s_hi = scaled_trace_exact(c, lo), scaled_trace_exact(c, hi)
-            side_lo, side_hi = trace_side(s_lo, tgt), trace_side(s_hi, tgt)
-            if side_lo == 0 or side_hi == 0:
+            tgt = target * offdiag_product_exact(c)
+            side_lo = trace_side(scaled_trace_exact(c, Fraction(x) - Fraction(h)), tgt)
+            side_hi = trace_side(scaled_trace_exact(c, Fraction(x) + Fraction(h)), tgt)
+            if side_lo * side_hi <= 0:
                 return abs(target)
-            if side_lo != side_hi:
-                _, s = exact_root(lambda t: scaled_trace_exact(c, t), tgt, lo, hi, s_lo, s_hi, rtol=2 * ap / 10**12)
-                return abs(trace_ratio(s, ap))
         h *= 8
     value, _ = eval_discriminant_bounded(c, x)
     return abs(value)

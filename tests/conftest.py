@@ -115,11 +115,11 @@ def count_exact_calls(monkeypatch, module):
 def count_float_calls(monkeypatch, module):
     """Count the calls module makes to the float evaluators of D; returns a one-item list.
 
-    Counted are eval_discriminant_stable, eval_discriminant_bounded and
-    eval_discriminant_slope, each where module binds it.
+    Counted are eval_discriminant_bounded and eval_discriminant_slope, each
+    where module binds it.
     """
     calls = [0]
-    for name in ("eval_discriminant_stable", "eval_discriminant_bounded", "eval_discriminant_slope"):
+    for name in ("eval_discriminant_bounded", "eval_discriminant_slope"):
         inner = getattr(module, name)
 
         def counted(*args, inner=inner):

@@ -159,7 +159,7 @@ def test_oracle_counts_are_p():
 
 
 def test_discriminant_hits_targets_at_oracle_eigenvalues():
-    from jacobibands.discriminant import eval_discriminant_stable
+    from jacobibands.discriminant import eval_discriminant_bounded
     from jacobibands.ensemble import EnsembleConfig, sample_operator
 
     from conftest import reference_discriminant
@@ -172,7 +172,7 @@ def test_discriminant_hits_targets_at_oracle_eigenvalues():
         for edges, target in ((plus, 2.0), (minus, -2.0)):
             for e in edges:
                 slope = abs(dpoly(e))
-                assert abs(eval_discriminant_stable(c, e) - target) <= 1e-10 * (1.0 + slope)
+                assert abs(eval_discriminant_bounded(c, e)[0] - target) <= 1e-10 * (1.0 + slope)
 
 
 def test_tridiagonal_eigenvalues_match_numpy():
