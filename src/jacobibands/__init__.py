@@ -51,7 +51,7 @@ from .errors import (
     NonPositiveOffDiagonal,
     PropertyViolation,
 )
-from .floquet import SymMatrix, band_edges_oracle, floquet_matrix, symmetric_eigenvalues
+from .floquet import band_edges_oracle
 from .potential import (
     AlternationData,
     AlternationPoint,
@@ -89,7 +89,6 @@ __all__ = [
     "PotentialReport",
     "PropertyViolation",
     "ScalarSummary",
-    "SymMatrix",
     "TrialReport",
     "alternation_set",
     "band_edges_oracle",
@@ -104,7 +103,6 @@ __all__ = [
     "equilibrium_band_measures",
     "eval_discriminant_exact",
     "evaluate_all_bounds",
-    "floquet_matrix",
     "gap_report",
     "load_operator",
     "new_periodic",
@@ -115,7 +113,6 @@ __all__ = [
     "sample_operator",
     "scalar_summary",
     "spectrum_capacity",
-    "symmetric_eigenvalues",
     "theorem_log_sum_lower",
     "theorem_log_sum_upper",
 ]

@@ -21,7 +21,8 @@ genuine touch (value on the target or on the band side: both edges snap
 onto the knot, gap length exactly zero) from an open gap, however
 shallow (refined as usual). Edges around narrow open gaps, whose flat
 crossings would otherwise scatter by noise over slope, are re-refined
-exactly as well. This is the one path at every period.
+exactly as well, each bracketed by the gap's knot. This is the one path
+at every period.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ eval_discriminant_stable = None
 # Steps of `float_root` and `_newton_edge`. Each reaches tol or the float
 # resolution floor in well under this many.
 _STEP_BUDGET = 300
-
-# Halvings by which the bracket of `float_root` may lag plain bisection
-# before every further step bisects.
-_LAG = 8
 
 
 @dataclass(frozen=True)
@@ -119,49 +116,23 @@ class BandStructure:
 
 
 def float_root(f, lo, f_lo, hi, f_hi, tol):
-    """Bracket of width <= tol around a sign change of f, by Illinois regula falsi.
+    """Bracket of width <= tol around a sign change of f, by bisection.
 
     f_lo = f(lo) and f_hi = f(hi) are nonzero with opposite signs. Returns
     (lo, f_lo, hi, f_hi) once hi - lo <= tol or the bracket cannot be split
-    in floats, and (x, 0.0, x, 0.0) at an exact zero. Each step takes the
-    secant point of the ends, kept tol/2 inside the bracket so that a point
-    next to the root lands on its far side and closes the bracket. An end
-    kept twice in a row has its value halved for the secant (Dowell &
-    Jarratt, BIT 11, 1971). Regula falsi can crawl from one side for many
-    steps, so the bracket after step j must be within 2^(_LAG - j) of the
-    first one; while it is not, the steps bisect. That bounds the work at
-    _LAG + 1 evaluations more than bisection needs.
+    in floats, and (x, 0.0, x, 0.0) at an exact zero.
     """
-    g_lo, g_hi = f_lo, f_hi  # the values the secant uses, Illinois-halved
-    kept = 0  # -1 if the last step kept lo, +1 if it kept hi
-    allowed = hi - lo  # 2^(_LAG - j) times the first width, from step _LAG on
-    for step in range(_STEP_BUDGET):
-        width = hi - lo
-        if width <= tol:
-            return lo, f_lo, hi, f_hi
+    for _ in range(_STEP_BUDGET):
         mid = 0.5 * (lo + hi)
-        x = mid
-        if width <= allowed:
-            x = min(max(lo + width * (g_lo / (g_lo - g_hi)), lo + 0.5 * tol), hi - 0.5 * tol)
-        if not lo < x < hi:
-            if not lo < mid < hi:
-                return lo, f_lo, hi, f_hi  # float resolution floor
-            x = mid
-        fx = f(x)
-        if fx == 0.0:
-            return x, fx, x, fx
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo, f_lo, g_lo = x, fx, fx
-            if kept == 1:
-                g_hi *= 0.5
-            kept = 1
+        if hi - lo <= tol or not lo < mid < hi:
+            return lo, f_lo, hi, f_hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid, f_mid, mid, f_mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            hi, f_hi, g_hi = x, fx, fx
-            if kept == -1:
-                g_lo *= 0.5
-            kept = -1
-        if step >= _LAG:
-            allowed *= 0.5
+            hi, f_hi = mid, f_mid
     raise NonConvergence(f"root budget exhausted on [{lo}, {hi}]")
 
 
@@ -186,22 +157,6 @@ def _in_noise(g, err, target):
     return abs(g) <= 4.0 * err + 1e-14 * (1.0 + abs(target))
 
 
-def _knot_residual(c, x, value, err, target, critical):
-    """value - target at knot x, sign-corrected where it sits in noise.
-
-    At a critical point within the float evaluation noise of the target
-    the sign comes from exact arbitration; None means the edges on both
-    sides snap to x (touching bands, gap length exactly zero).
-    """
-    g = value - target
-    if critical and _in_noise(g, err, target):
-        corrected = _crossing_beyond_resolution(c, x, target)
-        if corrected is None:
-            return None
-        g = corrected * max(abs(g), 1e-300)
-    return g
-
-
 def _gap_knot(c, x, value, err, s, left, right, tol):
     """Knot of a gap with sign s, from its Dirichlet eigenvalue x.
 
@@ -212,7 +167,10 @@ def _gap_knot(c, x, value, err, s, left, right, tol):
     keeps the knot. Otherwise x is a touching point, where the slope is in
     noise as well, or an edge of an open gap, which the solvers of both
     neighbouring pieces could mistake for their own crossing; the knot
-    then moves to the gap's critical point.
+    then moves to the gap's critical point. A value there within the float
+    evaluation noise of 2s takes its sign from exact arbitration, and a
+    first residual of None means the edges on both sides snap to the knot
+    (touching bands, gap length exactly zero).
     """
     target = 2.0 * s
     g = value - target
@@ -221,7 +179,10 @@ def _gap_knot(c, x, value, err, s, left, right, tol):
         if abs(slope) > 4.0 * slope_err:
             x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
             value, err = eval_discriminant_bounded(c, x)
-        g = _knot_residual(c, x, value, err, target, True)
+        g = value - target
+        if _in_noise(g, err, target):
+            side = _crossing_beyond_resolution(c, x, target)
+            g = None if side is None else side * max(abs(g), 1e-300)
     return x, g, s * max(abs(value + target), 1e-300)
 
 
@@ -326,9 +287,10 @@ _FLAT_GAP_TRIGGER = 1e-4
 def _exact_edge_position(c, x, target, inner, span):
     """Edge position, exact to 1e-13 relative, between the band and the gap.
 
-    inner is a point inside the open gap, where the discriminant provably
-    overshoots the target; the outer bracket end is stepped into the band
-    until the exact signs straddle. Falls back to x if no bracket forms.
+    inner is the gap's knot, where the discriminant reaches or passes the
+    target; the outer bracket end is stepped from x into the band, by
+    multiples of span (negative for a band below the gap), until the exact
+    signs straddle. Falls back to x if no bracket forms.
     """
     tgt = Fraction(target) * offdiag_product_exact(c)
     s_inner = scaled_trace_exact(c, inner)
@@ -337,9 +299,9 @@ def _exact_edge_position(c, x, target, inner, span):
         return inner
     if (side_inner > 0) != (target > 0):
         return x  # inner point is not beyond the target: touching, no bracket
-    step = max(4.0 * span, 1e-12 * max(1.0, abs(x)))
+    step = math.copysign(max(4.0 * abs(span), 1e-12 * max(1.0, abs(x))), span)
     for _ in range(8):
-        outer = x - step if x < inner else x + step
+        outer = x + step
         s_outer = scaled_trace_exact(c, outer)
         side_outer = trace_side(s_outer, tgt)
         if side_outer == 0:
@@ -352,12 +314,15 @@ def _exact_edge_position(c, x, target, inner, span):
     return x
 
 
-def _sharpen_flat_gap_edges(c, bands, labels):
+def _sharpen_flat_gap_edges(c, bands, labels, knots):
     """Re-refine the two edges around every narrow open gap.
 
-    Raises EdgeCountMismatch when a sharpened edge crosses the other edge
-    of its band: the float edge it passed is then wrong by more than the
-    band is long.
+    Each gap's knot (knots[n + 1] for the gap above band n) anchors the
+    exact brackets: every edge solve is bracketed by it, so it lies
+    between the two float edges even where the true gap is narrower than
+    their scatter. Raises EdgeCountMismatch when a sharpened edge crosses
+    the other edge of its band: the float edge it passed is then wrong by
+    more than the band is long.
     """
     cut = _FLAT_GAP_TRIGGER * max(1.0, bands[-1].hi - bands[0].lo)
     out = list(bands)
@@ -365,8 +330,8 @@ def _sharpen_flat_gap_edges(c, bands, labels):
         gap = out[n + 1].lo - out[n].hi
         if not 0.0 < gap < cut:
             continue
-        inner = 0.5 * (out[n].hi + out[n + 1].lo)
-        hi_edge = _exact_edge_position(c, out[n].hi, 2.0 * labels[n][1], inner, gap)
+        inner = knots[n + 1]
+        hi_edge = _exact_edge_position(c, out[n].hi, 2.0 * labels[n][1], inner, -gap)
         lo_edge = _exact_edge_position(c, out[n + 1].lo, 2.0 * labels[n + 1][0], inner, gap)
         out[n] = Interval(out[n].lo, hi_edge)
         out[n + 1] = Interval(lo_edge, out[n + 1].hi)
@@ -446,7 +411,7 @@ def band_structure(
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    bands = _sharpen_flat_gap_edges(c, bands, labels)
+    bands = _sharpen_flat_gap_edges(c, bands, labels, knots)
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
     min_gap, flags = _gap_stats(gaps, span, closed_tol, p)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .bands import DEFAULT_CLOSED_TOL, BandStructure, band_structure
+from .bands import BandStructure, band_structure
 from .coefficients import PeriodicCoefficients, new_periodic, scalar_summary
 from .discriminant import build_discriminant
 from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiBandsError
@@ -52,10 +52,6 @@ class EnsembleConfig:
     a_hi: float = 10.0
     b_lo: float = -5.0
     b_hi: float = 5.0
-    band_tol: float | None = None
-    closed_tol: float = DEFAULT_CLOSED_TOL
-    d_lower: float | None = None
-    d_upper: float | None = None
 
 
 def validate_config(cfg: EnsembleConfig) -> None:
@@ -116,13 +112,7 @@ def _skip_remaining(report: TrialReport, start: int, reason: str) -> None:
         report.families[name] = FamilyResult(False, f"skipped: {reason}")
 
 
-def run_trial(
-    c: PeriodicCoefficients,
-    band_tol: float | None = None,
-    closed_tol: float = DEFAULT_CLOSED_TOL,
-    d_lower: float | None = None,
-    d_upper: float | None = None,
-) -> TrialReport:
+def run_trial(c: PeriodicCoefficients) -> TrialReport:
     """Full pipeline on one operator; every failure lands in the report."""
     start = time.perf_counter()
     report = TrialReport(index=-1, coefficients=c)
@@ -138,7 +128,7 @@ def run_trial(
         return report
 
     try:
-        bs = band_structure(data, tol=band_tol, closed_tol=closed_tol)
+        bs = band_structure(data)
         report.band_structure = bs
         drift = abs(bs.total_band_measure + bs.total_gap_measure - bs.s)
         if drift > 1e-9 * max(1.0, bs.s):
@@ -190,7 +180,7 @@ def run_trial(
             report.families["alternation"] = FamilyResult(True)
 
     try:
-        rep = bounds_mod.evaluate_all_bounds(c, bs, summary, d_lower=d_lower, d_upper=d_upper)
+        rep = bounds_mod.evaluate_all_bounds(c, bs, summary)
         report.bounds = rep
         bad_uncond = [
             r.name
@@ -237,13 +227,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
     max_cap = 0.0
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        t = run_trial(
-            c,
-            band_tol=cfg.band_tol,
-            closed_tol=cfg.closed_tol,
-            d_lower=cfg.d_lower,
-            d_upper=cfg.d_upper,
-        )
+        t = run_trial(c)
         t.index = k
         for name, result in t.families.items():
             if result.passed:

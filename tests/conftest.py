@@ -60,15 +60,37 @@ def blocks(seed, index, q_lo=1):
     return a * m, b * m
 
 
+def floquet_matrix(c, sign):
+    """The p x p Floquet matrix of c as a tuple of rows: sign +1 periodic, -1 antiperiodic.
+
+    Diagonal is b, the first off-diagonal is a_1..a_{p-1}, and the wrap
+    entry sign * a_p sits in the corners. For p = 2 the wrap lands on the
+    off-diagonal (a_1 +/- a_2); for p = 1 it lands on the diagonal twice.
+    """
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    p = c.p
+    m = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        m[i][i] = c.b[i]
+    for i in range(p - 1):
+        m[i][i + 1] += c.a[i]
+        m[i + 1][i] += c.a[i]
+    if p == 1:
+        m[0][0] += sign * 2.0 * c.a[0]
+    else:
+        m[0][p - 1] += sign * c.a[p - 1]
+        m[p - 1][0] += sign * c.a[p - 1]
+    return tuple(tuple(row) for row in m)
+
+
 def numpy_edges(c):
     """The 2p band edges of c, sorted: numpy eigenvalues of its two Floquet matrices."""
     import numpy as np
 
-    from jacobibands.floquet import PHASE_ANTIPERIODIC, PHASE_PERIODIC, floquet_matrix
-
     edges = []
-    for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
-        edges.extend(np.linalg.eigvalsh(np.array(floquet_matrix(c, phase).entries)))
+    for sign in (1.0, -1.0):
+        edges.extend(np.linalg.eigvalsh(np.array(floquet_matrix(c, sign))))
     return sorted(edges)
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,26 @@ def test_run_trial_period2_all_pass():
     assert report.oracle_max_discrepancy < 1e-8
     assert report.capacity_rel_error < 1e-8
     assert len(report.bounds.records) == 13
+
+
+def test_core_runs_without_numpy():
+    # The core promises no dependencies: with numpy unimportable, the
+    # period-2 fixture and a p = 12 operator still pass every family.
+    code = """
+import sys
+sys.modules["numpy"] = None
+from jacobibands import new_periodic
+from jacobibands.ensemble import EnsembleConfig, run_trial, sample_operator
+for c in (new_periodic([1.0, 1.0], [0.0, 2.0]), sample_operator(EnsembleConfig(p_min=12, p_max=12), 0)):
+    t = run_trial(c)
+    assert t.all_passed, {k: v.detail for k, v in t.families.items() if not v.passed}
+print("ok")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_run_trial_single_band():

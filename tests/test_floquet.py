@@ -4,43 +4,29 @@ import random
 import numpy as np
 import pytest
 
-from jacobibands import (
-    NonConvergence,
-    band_edges_oracle,
-    floquet_matrix,
-    new_periodic,
-    symmetric_eigenvalues,
-)
+from jacobibands import NonConvergence, band_edges_oracle, new_periodic
 from jacobibands.ensemble import EnsembleConfig, sample_operator
-from jacobibands.floquet import (
-    PHASE_ANTIPERIODIC,
-    PHASE_PERIODIC,
-    SymMatrix,
-    _tridiagonalize,
-    tridiagonal_eigenvalues,
-)
+from jacobibands.floquet import tridiagonal_eigenvalues
 
-from conftest import blocks, free_operator, period2_operator
+from conftest import blocks, floquet_matrix, free_operator, numpy_edges, period2_operator
 
 
 def test_matrix_period2_periodic():
-    m = floquet_matrix(period2_operator(), PHASE_PERIODIC)
-    assert m.entries == ((0.0, 2.0), (2.0, 2.0))
+    assert floquet_matrix(period2_operator(), 1.0) == ((0.0, 2.0), (2.0, 2.0))
 
 
 def test_matrix_period2_antiperiodic():
-    m = floquet_matrix(period2_operator(), PHASE_ANTIPERIODIC)
-    assert m.entries == ((0.0, 0.0), (0.0, 2.0))
+    assert floquet_matrix(period2_operator(), -1.0) == ((0.0, 0.0), (0.0, 2.0))
 
 
 def test_matrix_single_site():
-    assert floquet_matrix(new_periodic([1.0], [0.0]), PHASE_PERIODIC).entries == ((2.0,),)
-    assert floquet_matrix(new_periodic([1.0], [0.0]), PHASE_ANTIPERIODIC).entries == ((-2.0,),)
+    assert floquet_matrix(new_periodic([1.0], [0.0]), 1.0) == ((2.0,),)
+    assert floquet_matrix(new_periodic([1.0], [0.0]), -1.0) == ((-2.0,),)
 
 
 def test_matrix_larger_period_has_corner():
     c = new_periodic([1.0, 2.0, 3.0], [5.0, 6.0, 7.0])
-    m = floquet_matrix(c, PHASE_ANTIPERIODIC).entries
+    m = floquet_matrix(c, -1.0)
     assert m[0][2] == -3.0
     assert m[2][0] == -3.0
     assert m[0][1] == 1.0
@@ -53,83 +39,51 @@ def test_matrix_rejects_other_phases():
         floquet_matrix(period2_operator(), 0.5)
 
 
-def test_eigenvalues_2x2_closed_form():
-    ev = symmetric_eigenvalues(SymMatrix(((0.0, 2.0), (2.0, 2.0))))
-    assert ev[0] == pytest.approx(1.0 - math.sqrt(5.0), abs=1e-12)
-    assert ev[1] == pytest.approx(1.0 + math.sqrt(5.0), abs=1e-12)
+def random_tridiagonal(rng, n):
+    return [rng.uniform(-5, 5) for _ in range(n)], [rng.uniform(-5, 5) for _ in range(n - 1)]
 
 
 def test_eigenvalues_diagonal_passthrough():
-    assert symmetric_eigenvalues(SymMatrix(((0.0, 0.0), (0.0, 2.0)))) == (0.0, 2.0)
-    assert symmetric_eigenvalues(
-        SymMatrix(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-    ) == (1.0, 1.0, 1.0)
-
-
-def test_eigenvalues_match_numpy_on_random_symmetric():
-    rng = random.Random(123)
-    for _ in range(25):
-        n = rng.randint(1, 12)
-        raw = [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)]
-        sym = [[0.5 * (raw[i][j] + raw[j][i]) for j in range(n)] for i in range(n)]
-        mine = symmetric_eigenvalues(SymMatrix(tuple(tuple(r) for r in sym)))
-        theirs = np.linalg.eigvalsh(np.array(sym))
-        scale = max(1.0, float(np.abs(theirs).max()))
-        assert len(mine) == n
-        for x, y in zip(mine, theirs):
-            assert abs(x - y) <= 1e-11 * scale
+    assert tridiagonal_eigenvalues([2.0, 0.0], [0.0]) == (0.0, 2.0)
+    assert tridiagonal_eigenvalues([1.0, 1.0, 1.0], [0.0, 0.0]) == (1.0, 1.0, 1.0)
 
 
 def test_eigensolver_budget_exhaustion():
-    rng = random.Random(99)
-    n = 12
-    raw = [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)]
-    sym = tuple(tuple(0.5 * (raw[i][j] + raw[j][i]) for j in range(n)) for i in range(n))
+    d, e = random_tridiagonal(random.Random(99), 12)
     with pytest.raises(NonConvergence):
-        symmetric_eigenvalues(SymMatrix(sym), tol=1e-15, max_sweeps=1)
+        tridiagonal_eigenvalues(d, e, tol=1e-15, max_sweeps=1)
 
 
-def assert_matches_numpy(mat):
-    mine = symmetric_eigenvalues(mat)
-    theirs = np.linalg.eigvalsh(np.array(mat.entries))
-    tol = 1e-13 * max(1.0, float(theirs[-1] - theirs[0]))
-    assert len(mine) == len(theirs)
-    assert list(mine) == sorted(mine)
-    for x, y in zip(mine, theirs):
-        assert abs(x - y) <= tol
+def assert_oracle_matches_numpy(c):
+    edges = numpy_edges(c)
+    tol = 1e-13 * max(1.0, edges[-1] - edges[0])
+    for mine, sign in zip(band_edges_oracle(c), (1.0, -1.0)):
+        theirs = np.linalg.eigvalsh(np.array(floquet_matrix(c, sign)))
+        assert len(mine) == c.p
+        assert list(mine) == sorted(mine)
+        assert np.max(np.abs(np.array(mine) - theirs)) <= tol
 
 
 def test_eigenvalues_of_repeated_blocks_match_numpy():
     # A period-q block repeated m times closes q(m - 1) gaps: the Floquet
     # matrices carry eigenvalues of multiplicity up to m.
     for k in range(120):
-        a, b = blocks(1, k)
-        c = new_periodic(a, b)
-        for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
-            assert_matches_numpy(floquet_matrix(c, phase))
+        assert_oracle_matches_numpy(new_periodic(*blocks(1, k)))
 
 
 @pytest.mark.parametrize("p", [40, 60])
 def test_eigenvalues_at_long_periods_match_numpy(p):
-    c = sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), 0)
-    for phase in (PHASE_PERIODIC, PHASE_ANTIPERIODIC):
-        assert_matches_numpy(floquet_matrix(c, phase))
+    assert_oracle_matches_numpy(sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), 0))
 
 
 def test_eigenvalues_of_split_matrix_match_numpy():
-    # Two dense blocks with nothing between them: the reduction leaves a
-    # zero off-diagonal in the middle, and QL must deflate there and solve
-    # each block on its own.
-    rng = random.Random(7)
-    n, half = 8, 4
-    m = [[0.0] * n for _ in range(n)]
-    for lo, hi in ((0, half), (half, n)):
-        for i in range(lo, hi):
-            for j in range(lo, i + 1):
-                m[i][j] = m[j][i] = rng.uniform(-3.0, 3.0)
-    mat = SymMatrix(tuple(tuple(row) for row in m))
-    assert_matches_numpy(mat)
-    assert _tridiagonalize(mat)[1][half - 1] == 0.0
+    # Two blocks with nothing between them: QL must deflate at the zero
+    # off-diagonal and solve each block on its own.
+    d, e = random_tridiagonal(random.Random(7), 8)
+    e[3] = 0.0
+    mine = tridiagonal_eigenvalues(d, e)
+    theirs = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    assert np.max(np.abs(np.array(mine) - theirs)) <= 1e-13 * max(1.0, float(np.max(np.abs(theirs))))
 
 
 def test_oracle_period2():

@@ -25,7 +25,7 @@ def counted_root(f, lo, hi, tol):
     [
         # flat parabola next to its critical point at 0: f(lo) = -1e-8, f(hi) = 1
         (lambda x: x * x - 1e-8, 0.0, 1.0, 1e-4),
-        # odd triple root: unguarded Illinois needs 80 evaluations here
+        # odd triple root
         (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3),
         # steep edge: f rises from -2 to 2**21 - 2
         (lambda x: x**21 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 21.0)),
@@ -37,8 +37,8 @@ def test_float_root_brackets_within_bound(f, lo, hi, root):
     assert a <= root <= b
     assert b - a <= tol
     assert fa < 0.0 < fb
-    # never more than the safeguard's lag beyond plain bisection
-    assert calls <= math.ceil(math.log2((hi - lo) / tol)) + bands_mod._LAG + 1
+    # never more than plain bisection needs
+    assert calls <= math.ceil(math.log2((hi - lo) / tol)) + 1
 
 
 def test_float_root_stops_at_exact_zero():
