@@ -34,6 +34,8 @@ from fractions import Fraction
 
 from .discriminant import (
     DiscriminantData,
+    eval_discriminant,
+    eval_discriminant_and_slope,
     eval_discriminant_bounded,
     eval_discriminant_slope,
     exact_root,
@@ -200,7 +202,7 @@ def _gap_critical_point(c, x, s, slope, stop, tol):
     sense = 1.0 if s * slope > 0.0 else -1.0
 
     def short(t):
-        value, _, d, _ = eval_discriminant_slope(c, t)
+        value, d = eval_discriminant_and_slope(c, t)
         if s * value > 0.0:
             return sense * s * d
         return -max(abs(d), 1e-300)
@@ -257,7 +259,7 @@ def _newton_edge(c, target, lo, f_lo, hi, f_hi, x, tol):
             x = 0.5 * (lo + hi)
     step = hi - lo
     for _ in range(_STEP_BUDGET):
-        value, _, slope, _ = eval_discriminant_slope(c, x)
+        value, slope = eval_discriminant_and_slope(c, x)
         f = value - target
         if f == 0.0:
             return x
@@ -366,7 +368,7 @@ def band_structure(
     Floquet eigenvalues are computed once and seed every edge solve.
     """
     c = d.coeffs
-    lo_bound, hi_bound = search_interval(c)
+    lo_bound, hi_bound = search_interval(d.summary)
     if tol is None:
         tol = 1e-12 * max(1.0, hi_bound - lo_bound)
     if not (tol > 0.0 and closed_tol > 0.0):
@@ -381,8 +383,8 @@ def band_structure(
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     seeds = (lo_bound, *d.knots, hi_bound)
-    v_lo, _ = eval_discriminant_bounded(c, lo_bound)
-    v_hi, _ = eval_discriminant_bounded(c, hi_bound)
+    v_lo = eval_discriminant(c, lo_bound)
+    v_hi = eval_discriminant(c, hi_bound)
     knots, plus, minus = [lo_bound], [v_lo - 2.0], [v_lo + 2.0]
     for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1):
         s = gap_sign(p, j)

@@ -9,7 +9,7 @@ import sys
 
 from .bands import band_structure, bands_to_csv
 from .bounds import evaluate_all_bounds, report_to_jsonable
-from .coefficients import load_operator, scalar_summary
+from .coefficients import load_operator
 from .discriminant import build_discriminant
 from .ensemble import (
     EnsembleConfig,
@@ -44,8 +44,8 @@ def _print_bounds_table(records) -> None:
 
 def _cmd_analyze(args) -> int:
     c = load_operator(args.operator)
-    summary = scalar_summary(c)
     data = build_discriminant(c)
+    summary = data.summary
     bs = band_structure(data)
     pot = potential_report(data, bs)
     report = evaluate_all_bounds(c, bs, summary, d_lower=args.d_lower, d_upper=args.d_upper)

@@ -3,8 +3,7 @@
 The discriminant D is the trace of the one-period transfer-matrix
 product, a degree-p polynomial in the spectral parameter. The band
 pipeline never expands it: it evaluates D stably through the 2x2 matrix
-product (with a running error bound, and in forward mode with its
-derivative), and takes its knots from the Dirichlet eigenvalues, the
+product, and takes its knots from the Dirichlet eigenvalues, the
 eigenvalues of the operator with site 0 deleted. By Cauchy interlacing
 the j-th of these p - 1 values lies in the closure of the j-th gap,
 where D has the sign (-1)^(p-j) and |D| >= 2 (van Moerbeke, Invent.
@@ -12,6 +11,18 @@ Math. 37, 1976), so they cut the line into p pieces holding one band
 each. No stage expands D in the monomial basis, which is ill-conditioned
 from p of about 20 on. An exact rational evaluator backs up the float
 path where cancellation would otherwise dominate.
+
+Four float evaluators run the product. `eval_discriminant` gives D and
+`eval_discriminant_and_slope` gives D and D' (forward mode); the Newton
+edge solves, the critical-point search, the ends of the search interval
+and the edge values of `potential` call these. `eval_discriminant_bounded`
+and `eval_discriminant_slope` repeat the same float operations in the
+same order, so their values are the same bit for bit, and add running
+forward-error bounds. Only the callers that read a bound call them: the
+knot check of `build_discriminant`, the knot arbitration of
+`bands._gap_knot`, the steep-edge certificate of
+`potential._refine_value_exact`, and the message of a failed alternation
+sign.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once (and is cached) to integer
@@ -30,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import PeriodicCoefficients, scalar_summary
+from .coefficients import PeriodicCoefficients, ScalarSummary, scalar_summary
 from .errors import PropertyViolation
 from .floquet import tridiagonal_eigenvalues
 
@@ -48,10 +59,12 @@ class DiscriminantData:
     """The operator plus the knots that split its spectrum into bands.
 
     knots are the p - 1 Dirichlet eigenvalues, sorted; knot_values holds
-    `eval_discriminant_bounded` at each, as (value, error bound).
+    `eval_discriminant_bounded` at each, as (value, error bound). summary
+    is the operator's `scalar_summary`, computed once for every stage.
     """
 
     coeffs: PeriodicCoefficients
+    summary: ScalarSummary
     knots: tuple[float, ...]
     knot_values: tuple[tuple[float, float], ...]
 
@@ -60,69 +73,123 @@ class DiscriminantData:
         return self.coeffs.p
 
 
-def search_interval(c: PeriodicCoefficients, pad_fraction: float = 0.01) -> tuple[float, float]:
-    """Gershgorin interval padded by a fraction of its width.
+def search_interval(s: ScalarSummary, pad_fraction: float = 0.01) -> tuple[float, float]:
+    """Gershgorin interval of an operator's summary, padded by a fraction of its width.
 
     Every root of the discriminant and of discriminant +/- 2 lies strictly
     inside; the padding guarantees |trace| > 2 at both endpoints.
     """
-    s = scalar_summary(c)
     pad = pad_fraction * (s.gershgorin_hi - s.gershgorin_lo)
     return s.gershgorin_lo - pad, s.gershgorin_hi + pad
 
 
-def eval_discriminant_bounded(c: PeriodicCoefficients, t: float) -> tuple[float, float]:
-    """Trace of the numeric transfer product at t, taken site p down to 1, with an error bound.
+def eval_discriminant(c: PeriodicCoefficients, t: float) -> float:
+    """Trace of the numeric transfer product at t, taken site p down to 1.
 
-    The bound tracks |T|*E + u*|T|*|M| through the product and is used to
-    decide when a critical value is indistinguishable from +/-2.
+    The same float operations in the same order as
+    `eval_discriminant_bounded`, so the value is the same bit for bit,
+    without the running error bound.
     """
     a, b = c.a, c.b
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    prev = a[-1]
+    for an, bn in zip(a, b):
+        t00 = (t - bn) / an
+        t01 = -prev / an
+        prev = an
+        m00, m01, m10, m11 = t00 * m00 + t01 * m10, t00 * m01 + t01 * m11, m00, m01
+    return m00 + m11
+
+
+def eval_discriminant_bounded(c: PeriodicCoefficients, t: float) -> tuple[float, float]:
+    """`eval_discriminant` at t with a running error bound.
+
+    The bound tracks |T|*E + u*|T|*|M| through the product and is used to
+    decide when a value is indistinguishable from +/-2. The bottom row of
+    M is the previous top row, so its magnitudes carry over from the
+    previous step.
+    """
+    a, b = c.a, c.b
+    u4 = 4.0 * _U
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    am00, am01, am10, am11 = 1.0, 0.0, 0.0, 1.0
     e00 = e01 = e10 = e11 = 0.0
-    for n in range(c.p):
-        t00 = (t - b[n]) / a[n]
-        t01 = -a[n - 1] / a[n]
+    prev = a[-1]
+    for an, bn in zip(a, b):
+        t00 = (t - bn) / an
+        t01 = -prev / an
+        prev = an
         at0, at1 = abs(t00), abs(t01)
         n00 = t00 * m00 + t01 * m10
         n01 = t00 * m01 + t01 * m11
-        f00 = at0 * e00 + at1 * e10 + 4.0 * _U * (at0 * abs(m00) + at1 * abs(m10))
-        f01 = at0 * e01 + at1 * e11 + 4.0 * _U * (at0 * abs(m01) + at1 * abs(m11))
+        f00 = at0 * e00 + at1 * e10 + u4 * (at0 * am00 + at1 * am10)
+        f01 = at0 * e01 + at1 * e11 + u4 * (at0 * am01 + at1 * am11)
         m00, m01, m10, m11 = n00, n01, m00, m01
+        am00, am01, am10, am11 = abs(n00), abs(n01), am00, am01
         e00, e01, e10, e11 = f00, f01, e00, e01
     value = m00 + m11
     return value, e00 + e11 + _U * abs(value)
 
 
-def eval_discriminant_slope(c: PeriodicCoefficients, t: float) -> tuple[float, float, float, float]:
-    """(value, bound, slope, bound): D and D' at t by a forward-mode transfer product.
+def eval_discriminant_and_slope(c: PeriodicCoefficients, t: float) -> tuple[float, float]:
+    """(value, slope): D and D' at t by a forward-mode transfer product.
 
     Each step T = [[(t - b_n)/a_n, -a_{n-1}/a_n], [1, 0]] has the derivative
     T' = [[1/a_n, 0], [0, 0]], so the product's derivative follows
-    (T M)' = T' M + T M' in the same loop. Both bounds are running
-    forward-error bounds built like `eval_discriminant_bounded`'s; the one
-    on D' also carries the error of M through T'.
+    (T M)' = T' M + T M' in the same loop. The same float operations in
+    the same order as `eval_discriminant_slope`, without its bounds.
     """
     a, b = c.a, c.b
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
     d00 = d01 = d10 = d11 = 0.0
+    prev = a[-1]
+    for an, bn in zip(a, b):
+        inv = 1.0 / an
+        t00 = (t - bn) / an
+        t01 = -prev / an
+        prev = an
+        s00 = inv * m00 + t00 * d00 + t01 * d10
+        s01 = inv * m01 + t00 * d01 + t01 * d11
+        m00, m01, m10, m11 = t00 * m00 + t01 * m10, t00 * m01 + t01 * m11, m00, m01
+        d00, d01, d10, d11 = s00, s01, d00, d01
+    return m00 + m11, d00 + d11
+
+
+def eval_discriminant_slope(c: PeriodicCoefficients, t: float) -> tuple[float, float, float, float]:
+    """(value, bound, slope, bound): `eval_discriminant_and_slope` with error bounds.
+
+    Both bounds are running forward-error bounds built like
+    `eval_discriminant_bounded`'s; the one on D' also carries the error of
+    M through T'. Magnitudes of the bottom rows of M and M' carry over
+    from the previous step.
+    """
+    a, b = c.a, c.b
+    u4, u5 = 4.0 * _U, 5.0 * _U
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    am00, am01, am10, am11 = 1.0, 0.0, 0.0, 1.0
+    d00 = d01 = d10 = d11 = 0.0
+    ad00 = ad01 = ad10 = ad11 = 0.0
     e00 = e01 = e10 = e11 = 0.0
     f00 = f01 = f10 = f11 = 0.0
-    for n in range(c.p):
-        inv = 1.0 / a[n]
-        t00 = (t - b[n]) / a[n]
-        t01 = -a[n - 1] / a[n]
+    prev = a[-1]
+    for an, bn in zip(a, b):
+        inv = 1.0 / an
+        t00 = (t - bn) / an
+        t01 = -prev / an
+        prev = an
         ai, at0, at1 = abs(inv), abs(t00), abs(t01)
         n00 = t00 * m00 + t01 * m10
         n01 = t00 * m01 + t01 * m11
         s00 = inv * m00 + t00 * d00 + t01 * d10
         s01 = inv * m01 + t00 * d01 + t01 * d11
-        g00 = at0 * e00 + at1 * e10 + 4.0 * _U * (at0 * abs(m00) + at1 * abs(m10))
-        g01 = at0 * e01 + at1 * e11 + 4.0 * _U * (at0 * abs(m01) + at1 * abs(m11))
-        h00 = ai * e00 + at0 * f00 + at1 * f10 + 5.0 * _U * (ai * abs(m00) + at0 * abs(d00) + at1 * abs(d10))
-        h01 = ai * e01 + at0 * f01 + at1 * f11 + 5.0 * _U * (ai * abs(m01) + at0 * abs(d01) + at1 * abs(d11))
+        g00 = at0 * e00 + at1 * e10 + u4 * (at0 * am00 + at1 * am10)
+        g01 = at0 * e01 + at1 * e11 + u4 * (at0 * am01 + at1 * am11)
+        h00 = ai * e00 + at0 * f00 + at1 * f10 + u5 * (ai * am00 + at0 * ad00 + at1 * ad10)
+        h01 = ai * e01 + at0 * f01 + at1 * f11 + u5 * (ai * am01 + at0 * ad01 + at1 * ad11)
         m00, m01, m10, m11 = n00, n01, m00, m01
+        am00, am01, am10, am11 = abs(n00), abs(n01), am00, am01
         d00, d01, d10, d11 = s00, s01, d00, d01
+        ad00, ad01, ad10, ad11 = abs(s00), abs(s01), ad00, ad01
         e00, e01, e10, e11 = g00, g01, e00, e01
         f00, f01, f10, f11 = h00, h01, f00, f01
     value = m00 + m11
@@ -270,4 +337,4 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
                 f"D({x}) = {value} at Dirichlet eigenvalue {j} of {p - 1}; "
                 f"expected sign {s:+.0f} and |D| >= 2"
             )
-    return DiscriminantData(coeffs=c, knots=knots, knot_values=values)
+    return DiscriminantData(coeffs=c, summary=scalar_summary(c), knots=knots, knot_values=values)

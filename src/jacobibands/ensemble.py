@@ -14,11 +14,10 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .bands import BandStructure, band_structure
-from .coefficients import PeriodicCoefficients, new_periodic, scalar_summary
+from .coefficients import PeriodicCoefficients, new_periodic
 from .discriminant import build_discriminant
 from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiBandsError
 
@@ -116,7 +115,6 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
     """Full pipeline on one operator; every failure lands in the report."""
     start = time.perf_counter()
     report = TrialReport(index=-1, coefficients=c)
-    summary = scalar_summary(c)
 
     try:
         data = build_discriminant(c)
@@ -166,11 +164,14 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
         # potential_report raised CapacityMismatch unless the capacity
         # matched the geometric mean to 1e-9 relative.
         report.potential = pot
-        report.capacity_rel_error = abs(pot.cap_spectrum - summary.geom_mean_a) / summary.geom_mean_a
+        geo = data.summary.geom_mean_a
+        report.capacity_rel_error = abs(pot.cap_spectrum - geo) / geo
         report.families["capacity"] = FamilyResult(True)
-        measures_ok = sum(pot.band_measures) == 1 and all(m > 0 for m in pot.band_measures)
+        # Maximal interval j with k_j extreme points weighs (k_j - 1) / p.
+        counts = pot.alternation.points_per_interval
+        measures_ok = sum(counts) - len(counts) == c.p and all(k >= 2 for k in counts)
         uniform_expected = not any(bs.closed_gap_flags)
-        if uniform_expected and any(m != Fraction(1, c.p) for m in pot.band_measures):
+        if uniform_expected and any(k != 2 for k in counts):
             report.families["alternation"] = FamilyResult(
                 False, f"open-gap weights {pot.band_measures} != 1/p"
             )
@@ -180,7 +181,7 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
             report.families["alternation"] = FamilyResult(True)
 
     try:
-        rep = bounds_mod.evaluate_all_bounds(c, bs, summary)
+        rep = bounds_mod.evaluate_all_bounds(c, bs, data.summary)
         report.bounds = rep
         bad_uncond = [
             r.name

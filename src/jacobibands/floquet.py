@@ -103,13 +103,19 @@ def _implicit_ql(d: list[float], e: list[float], tol: float, budget: int) -> Non
     from its leading 2 x 2 submatrix and chases the bulge down with plane
     rotations.
     """
+    hypot, copysign = math.hypot, math.copysign
     n = len(d)
     for l in range(n):
         steps = 0
         while True:
             m = l
-            while m < n - 1 and abs(e[m]) > tol * (abs(d[m]) + abs(d[m + 1])):
+            dm = abs(d[m])
+            while m < n - 1:
+                dn = abs(d[m + 1])
+                if not abs(e[m]) > tol * (dm + dn):
+                    break
                 m += 1
+                dm = dn
             if m == l:
                 break
             if steps == budget:
@@ -118,14 +124,14 @@ def _implicit_ql(d: list[float], e: list[float], tol: float, budget: int) -> Non
                 )
             steps += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = math.hypot(f, g)
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     # underflow: the block splits at i + 1

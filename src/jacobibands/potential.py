@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bands import BandStructure, Interval
-from .coefficients import offdiag_product, scalar_summary
+from .coefficients import offdiag_product
 from .discriminant import (
     DiscriminantData,
+    eval_discriminant,
     eval_discriminant_bounded,
     offdiag_product_exact,
     scaled_trace_exact,
@@ -101,7 +102,7 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     there, is returned.
     """
     c = d.coeffs
-    lo_bound, hi_bound = search_interval(c)
+    lo_bound, hi_bound = search_interval(d.summary)
     h = max(1e-13 * max(1.0, abs(x)), 1e-15)
     for _ in range(30):
         lo, hi = x - h, x + h
@@ -118,16 +119,15 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
             if side_lo * side_hi <= 0:
                 return abs(target)
         h *= 8
-    value, _ = eval_discriminant_bounded(c, x)
-    return abs(value)
+    return abs(eval_discriminant(c, x))
 
 
-def _edge_evaluations(d: DiscriminantData, bs: BandStructure) -> dict[float, tuple[float, float]]:
-    """`eval_discriminant_bounded` at each distinct band edge, keyed by the edge."""
-    out: dict[float, tuple[float, float]] = {}
+def _edge_evaluations(d: DiscriminantData, bs: BandStructure) -> dict[float, float]:
+    """`eval_discriminant` at each distinct band edge, keyed by the edge."""
+    out: dict[float, float] = {}
     for x in bs.edges:
         if x not in out:
-            out[x] = eval_discriminant_bounded(d.coeffs, x)
+            out[x] = eval_discriminant(d.coeffs, x)
     return out
 
 
@@ -136,7 +136,7 @@ def _edge_values(d: DiscriminantData, bs: BandStructure, evals) -> list[float]:
     values = []
     for band, (lab_lo, lab_hi) in zip(bs.bands, bs.edge_labels):
         for x, lab in ((band.lo, lab_lo), (band.hi, lab_hi)):
-            v, _ = evals[x]
+            v = evals[x]
             if abs(abs(v) - 2.0) > _EXACT_REFINE_TRIGGER:
                 values.append(_refine_value_exact(d, x, 2 * lab))
             else:
@@ -171,7 +171,7 @@ def spectrum_capacity(
     if cheb is None:
         cheb = chebyshev_number(d, bs)
     cap = math.exp((math.log(cheb) - math.log(2.0)) / p)
-    geo = scalar_summary(d.coeffs).geom_mean_a
+    geo = d.summary.geom_mean_a
     if abs(cap - geo) > _CAPACITY_RTOL * geo:
         raise CapacityMismatch(
             f"capacity {cap} vs geometric mean {geo}: relative gap {abs(cap - geo) / geo:.3e}"
@@ -187,10 +187,10 @@ def alternation_set(d: DiscriminantData, bs: BandStructure) -> AlternationData:
     subsequence of length p + 1 ending with +, and the count p + l where
     l is the number of maximal closed intervals of the spectrum.
     """
-    return _alternation_set(bs, _edge_evaluations(d, bs))
+    return _alternation_set(d, bs, _edge_evaluations(d, bs))
 
 
-def _alternation_set(bs, evals):
+def _alternation_set(d, bs, evals):
     p = bs.p
     points: list[AlternationPoint] = []
     pieces: list[list[Interval]] = [[bs.bands[0]]]
@@ -211,8 +211,9 @@ def _alternation_set(bs, evals):
         points.append(AlternationPoint(band.hi, lab_hi))
 
     for pt in points:
-        value, err = evals[pt.x]
+        value = evals[pt.x]
         if value * pt.sign <= 0.0:
+            _, err = eval_discriminant_bounded(d.coeffs, pt.x)
             raise AlternationFailure(
                 f"sign of discriminant at extremum {pt.x} is {math.copysign(1, value):+.0f}, "
                 f"expected {pt.sign:+d} (value {value}, error bound {err})"
@@ -249,8 +250,9 @@ def equilibrium_band_measures(alt: AlternationData) -> tuple[Fraction, ...]:
     With every gap open this is 1/p per band; the weights always sum to 1.
     """
     p = alt.period
-    measures = tuple(Fraction(k - 1, p) for k in alt.points_per_interval)
-    if any(m <= 0 for m in measures) or sum(measures) != 1:
+    counts = alt.points_per_interval
+    measures = tuple(Fraction(k - 1, p) for k in counts)
+    if any(k < 2 for k in counts) or sum(counts) - len(counts) != p:
         raise AlternationFailure(f"equilibrium weights {measures} do not sum to 1")
     return measures
 
@@ -263,7 +265,7 @@ def potential_report(d: DiscriminantData, bs: BandStructure) -> PotentialReport:
     evals = _edge_evaluations(d, bs)
     cheb = _chebyshev_number(d, bs, evals)
     cap = spectrum_capacity(d, bs, cheb)
-    alt = _alternation_set(bs, evals)
+    alt = _alternation_set(d, bs, evals)
     measures = equilibrium_band_measures(alt)
     widom = cheb / math.exp(bs.p * math.log(cap))
     return PotentialReport(

@@ -144,7 +144,7 @@ def test_criterion_7_structural_invariants():
             bs0 = band_structure(d0)
 
             # rotation: two degree-p polynomials equal at p + 1 points are equal
-            lo, hi = search_interval(c)
+            lo, hi = search_interval(d0.summary)
             points = [lo + (hi - lo) * i / c.p for i in range(c.p + 1)]
             values = [eval_discriminant_exact(c, t) for t in points]
             for rotation in {1, c.p // 2} - {0}:

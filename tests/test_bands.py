@@ -328,7 +328,7 @@ def test_corrupted_critical_points_raise():
     # The band solver cuts the line at the Dirichlet knots: a knot list of
     # the wrong length must not pass.
     d = build_discriminant(period2_operator())
-    broken = DiscriminantData(coeffs=d.coeffs, knots=(), knot_values=())
+    broken = DiscriminantData(coeffs=d.coeffs, summary=d.summary, knots=(), knot_values=())
     with pytest.raises(EdgeCountMismatch):
         bands_fn(broken)
 

@@ -9,10 +9,14 @@ from jacobibands import (
     build_discriminant,
     eval_discriminant_exact,
     new_periodic,
+    scalar_summary,
 )
 from jacobibands import discriminant as discriminant_mod
 from jacobibands.coefficients import offdiag_product
+from jacobibands.bands import band_structure
 from jacobibands.discriminant import (
+    eval_discriminant,
+    eval_discriminant_and_slope,
     eval_discriminant_bounded,
     eval_discriminant_slope,
     offdiag_product_exact,
@@ -26,6 +30,7 @@ from jacobibands.floquet import band_edges_oracle
 from numpy.polynomial import Polynomial
 
 from conftest import (
+    blocks,
     free_operator,
     period2_operator,
     reference_critical_points,
@@ -89,7 +94,7 @@ def test_free_case_matches_trig_identity():
     for p in (2, 3, 5, 8):
         c = free_operator(p)
         build_discriminant(c)
-        lo, hi = search_interval(c)
+        lo, hi = search_interval(scalar_summary(c))
         for k in range(20):
             t = lo + (hi - lo) * k / 19.0
             expected = free_case_trace(p, t)
@@ -148,7 +153,7 @@ def test_two_evaluation_paths_agree():
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
         expanded = reference_discriminant(c)
-        lo, hi = search_interval(c)
+        lo, hi = search_interval(scalar_summary(c))
         for _ in range(100):
             t = rng.uniform(lo, hi)
             a = expanded(t)
@@ -161,7 +166,7 @@ def test_exact_evaluator_is_consistent():
     cfg = EnsembleConfig(trials=5, seed=13)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        lo, hi = search_interval(c)
+        lo, hi = search_interval(scalar_summary(c))
         for _ in range(5):
             t = rng.uniform(lo, hi)
             exact = float(eval_discriminant_exact(c, t))
@@ -208,7 +213,7 @@ def test_cyclic_shift_leaves_discriminant_unchanged():
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
         build_discriminant(c)
-        lo, hi = search_interval(c)
+        lo, hi = search_interval(scalar_summary(c))
         points = [lo + (hi - lo) * i / c.p for i in range(c.p + 1)]
         values = [eval_discriminant_exact(c, t) for t in points]
         for shift in range(1, c.p):
@@ -300,7 +305,7 @@ def test_slope_evaluation_matches_the_expansion():
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
         build_discriminant(c)
-        lo, hi = search_interval(c)
+        lo, hi = search_interval(scalar_summary(c))
         derivative = reference_discriminant(c).deriv()
         for i in range(9):
             t = lo + (hi - lo) * (i + 0.5) / 9
@@ -329,3 +334,26 @@ def test_knots_outside_their_gaps_raise(monkeypatch):
     monkeypatch.setattr(discriminant_mod, "dirichlet_eigenvalues", lambda c: tuple(x + 1.0 for x in inner(c)))
     with pytest.raises(PropertyViolation, match="Dirichlet eigenvalue 1 of 1"):
         build_discriminant(period2_operator())
+
+
+def test_bound_free_evaluators_equal_the_bounded_ones():
+    # The same float operations in the same order: equal bit for bit at
+    # grid points, Dirichlet knots and computed band edges, short and long
+    # periods, open and closed gaps.
+    configs = [
+        (EnsembleConfig(seed=21, p_min=1, p_max=1), 5),
+        (EnsembleConfig(seed=21, p_min=2, p_max=2), 5),
+        (EnsembleConfig(seed=21), 20),
+        (EnsembleConfig(seed=1, p_min=40, p_max=40), 2),
+        (EnsembleConfig(seed=1, p_min=60, p_max=60, a_lo=0.5, a_hi=2.0), 2),
+    ]
+    ops = [sample_operator(cfg, k) for cfg, n in configs for k in range(n)]
+    ops += [new_periodic(*blocks(1, k, q_lo=3)) for k in range(10)]
+    for c in ops:
+        d = build_discriminant(c)
+        lo, hi = search_interval(d.summary)
+        grid = [lo + (hi - lo) * i / 16 for i in range(17)]
+        for t in grid + list(d.knots) + list(band_structure(d).edges):
+            value, _, slope, _ = eval_discriminant_slope(c, t)
+            assert eval_discriminant(c, t) == eval_discriminant_bounded(c, t)[0] == value, (c, t)
+            assert eval_discriminant_and_slope(c, t) == (value, slope), (c, t)

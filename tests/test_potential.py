@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jacobibands import (
+    AlternationFailure,
     alternation_set,
     band_structure,
     build_discriminant,
@@ -124,6 +125,18 @@ def test_mixed_touching_counts():
     assert measures == (Fraction(1, 2), Fraction(1, 2))
 
 
+def test_equilibrium_weights_need_p_points_beyond_one_per_interval():
+    # Interval j with k_j extreme points weighs (k_j - 1) / p: every k_j >= 2
+    # and the k_j - 1 sum to p.
+    def alt(counts, p):
+        return potential_mod.AlternationData((), sum(counts), (), counts, p)
+
+    assert equilibrium_band_measures(alt((3, 2), 3)) == (Fraction(2, 3), Fraction(1, 3))
+    for counts, p in (((3, 1), 2), ((2, 2), 3), ((2, 2, 2), 2)):
+        with pytest.raises(AlternationFailure, match="do not sum to 1"):
+            equilibrium_band_measures(alt(counts, p))
+
+
 def test_widom_identity_across_ensemble():
     cfg = EnsembleConfig(trials=15, seed=14)
     for k in range(cfg.trials):
@@ -229,6 +242,7 @@ def test_long_period_refinement_stays_bounded(monkeypatch):
     report = run_trial(sample_operator(EnsembleConfig(seed=1, p_min=40, p_max=40), 0))
     assert calls[0] <= 600
     assert report.families["capacity"].passed
-    assert report.families["alternation"].detail.startswith(
-        "sign of discriminant at extremum -14.514989887117377 is -1, expected +1"
+    assert report.families["alternation"].detail == (
+        "sign of discriminant at extremum -14.514989887117377 is -1, expected +1 "
+        "(value -4.6981933766325096e+22, error bound 9.99075156408386e+26)"
     )
