@@ -7,17 +7,8 @@ factor and equilibrium band weights, and evaluates a suite of band/gap
 estimates against the exact band data.
 """
 
-from .bands import BandStructure, Interval, band_structure, bands_to_csv, gap_report
-from .bounds import (
-    BoundRecord,
-    BoundsReport,
-    classical_bounds,
-    corollary_max_band,
-    corollary_min_band,
-    evaluate_all_bounds,
-    theorem_log_sum_lower,
-    theorem_log_sum_upper,
-)
+from .bands import BandStructure, Interval, band_structure, bands_to_csv
+from .bounds import BoundRecord, BoundsReport, evaluate_all_bounds
 from .coefficients import (
     PeriodicCoefficients,
     ScalarSummary,
@@ -56,12 +47,8 @@ from .potential import (
     AlternationData,
     AlternationPoint,
     PotentialReport,
-    alternation_set,
     capacity_interval,
-    chebyshev_number,
-    equilibrium_band_measures,
     potential_report,
-    spectrum_capacity,
 )
 
 __version__ = "0.1.0"
@@ -90,20 +77,13 @@ __all__ = [
     "PropertyViolation",
     "ScalarSummary",
     "TrialReport",
-    "alternation_set",
     "band_edges_oracle",
     "band_structure",
     "bands_to_csv",
     "build_discriminant",
     "capacity_interval",
-    "chebyshev_number",
-    "classical_bounds",
-    "corollary_max_band",
-    "corollary_min_band",
-    "equilibrium_band_measures",
     "eval_discriminant_exact",
     "evaluate_all_bounds",
-    "gap_report",
     "load_operator",
     "new_periodic",
     "parse_operator",
@@ -112,7 +92,4 @@ __all__ = [
     "run_trial",
     "sample_operator",
     "scalar_summary",
-    "spectrum_capacity",
-    "theorem_log_sum_lower",
-    "theorem_log_sum_upper",
 ]

@@ -48,7 +48,11 @@ from .discriminant import (
 from .errors import EdgeCountMismatch, NonConvergence
 from .floquet import band_edges_oracle
 
+# A gap no longer than this times max(1, s), s the spectrum diameter, is closed.
 DEFAULT_CLOSED_TOL = 1e-9
+
+# Edges are solved to this times the width (at least 1) of the search interval.
+_EDGE_RTOL = 1e-12
 
 # Bound by name only for the ("jacobibands.bands", "eval_discriminant_stable")
 # entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up;
@@ -88,7 +92,6 @@ class BandStructure:
     total_band_measure: float
     min_gap: float | None
     closed_gap_flags: tuple[bool, ...]
-    closed_tol: float
     floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
@@ -345,34 +348,18 @@ def _sharpen_flat_gap_edges(c, bands, labels, knots):
     return out
 
 
-def _gap_stats(gaps, s, closed_tol, p):
-    if p == 1:
-        return None, ()
-    scale = closed_tol * max(1.0, s)
-    flags = tuple(g.length <= scale for g in gaps)
-    open_lengths = [g.length for g, closed in zip(gaps, flags) if not closed]
-    min_gap = min(open_lengths) if open_lengths else math.inf
-    return min_gap, flags
-
-
-def band_structure(
-    d: DiscriminantData,
-    tol: float | None = None,
-    closed_tol: float = DEFAULT_CLOSED_TOL,
-) -> BandStructure:
+def band_structure(d: DiscriminantData) -> BandStructure:
     """Extract the p bands and p-1 gaps from a discriminant.
 
-    Edges are refined to absolute accuracy tol (default 1e-12 times the
-    Gershgorin width). Exactly p bands are always returned; closed gaps
-    appear as zero-length gaps between them, never as merged bands. The
-    Floquet eigenvalues are computed once and seed every edge solve.
+    Edges are refined to absolute accuracy `_EDGE_RTOL` times the width of
+    the search interval. Exactly p bands are always returned; closed gaps
+    (`DEFAULT_CLOSED_TOL`) appear as zero-length gaps between them, never
+    as merged bands. The Floquet eigenvalues are computed once and seed
+    every edge solve.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
-    if tol is None:
-        tol = 1e-12 * max(1.0, hi_bound - lo_bound)
-    if not (tol > 0.0 and closed_tol > 0.0):
-        raise ValueError("tolerances must be positive")
+    tol = _EDGE_RTOL * max(1.0, hi_bound - lo_bound)
 
     p = c.p
     eigenvalues = band_edges_oracle(c)
@@ -416,7 +403,9 @@ def band_structure(
     bands = _sharpen_flat_gap_edges(c, bands, labels, knots)
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
-    min_gap, flags = _gap_stats(gaps, span, closed_tol, p)
+    flags = tuple(g.length <= DEFAULT_CLOSED_TOL * max(1.0, span) for g in gaps)
+    open_lengths = [g.length for g, closed in zip(gaps, flags) if not closed]
+    min_gap = None if p == 1 else min(open_lengths, default=math.inf)
     return BandStructure(
         bands=tuple(bands),
         gaps=gaps,
@@ -425,14 +414,8 @@ def band_structure(
         total_band_measure=math.fsum(b.length for b in bands),
         min_gap=min_gap,
         closed_gap_flags=flags,
-        closed_tol=closed_tol,
         floquet_eigenvalues=eigenvalues,
     )
-
-
-def gap_report(bs: BandStructure, closed_tol: float = DEFAULT_CLOSED_TOL):
-    """Recompute (min open gap, closed flags) under a different closed_tol."""
-    return _gap_stats(bs.gaps, bs.s, closed_tol, bs.p)
 
 
 def bands_to_csv(bs: BandStructure, target) -> None:

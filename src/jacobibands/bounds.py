@@ -7,17 +7,23 @@ satisfied and marked not applicable. The reciprocal of a vanishing
 positive-part logarithm is +inf, as is a power ratio past the float
 range, and comparisons follow the extended order, so a record with
 rhs = +inf is always satisfied.
+
+`evaluate_all_bounds(data, bs)` evaluates all thirteen records of one
+operator, from the coefficients and the scalar summary that
+`build_discriminant` carries on `DiscriminantData` and the band data of
+`band_structure`. `report_to_jsonable` serializes them, with the band
+summary block computed from the same `BandStructure`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 from .bands import BandStructure
-from .coefficients import PeriodicCoefficients, ScalarSummary, scalar_summary
+from .coefficients import PeriodicCoefficients, ScalarSummary
+from .discriminant import DiscriminantData
 
 _RTOL = 1e-9
 _COND_RTOL = 1e-12
@@ -37,24 +43,13 @@ class BoundRecord:
 
 
 @dataclass(frozen=True)
-class BandSummary:
-    s: float
-    total_band_measure: float
-    total_gap_measure: float
-    max_band: float
-    min_band: float
-    min_gap: float | None
-    closed_gaps: int
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """All thirteen bound records for one operator."""
 
     records: tuple[BoundRecord, ...]
     coefficients: PeriodicCoefficients
     summary: ScalarSummary
-    band_summary: BandSummary
+    band_structure: BandStructure
 
     def by_name(self, name: str) -> BoundRecord:
         for record in self.records:
@@ -120,13 +115,8 @@ def _inv_log_pos(x: float) -> float:
     return 1.0 / math.log(x)
 
 
-def classical_bounds(
-    c: PeriodicCoefficients, bs: BandStructure, summary: ScalarSummary | None = None
-) -> list[BoundRecord]:
+def _classical_bounds(p: int, summary: ScalarSummary, bs: BandStructure) -> list[BoundRecord]:
     """The nine classical estimates: endpoints, diameter, band and gap sums."""
-    if summary is None:
-        summary = scalar_summary(c)
-    p = c.p
     geo = summary.geom_mean_a
     spread_m = summary.diag_spread
     spread_big = summary.gershgorin_spread
@@ -181,19 +171,12 @@ def classical_bounds(
     return records
 
 
-def theorem_log_sum_lower(
-    c: PeriodicCoefficients,
-    bs: BandStructure,
-    d: float | None = None,
-    summary: ScalarSummary | None = None,
-) -> BoundRecord:
+def _log_sum_lower(summary: ScalarSummary, bs: BandStructure, d: float | None) -> BoundRecord:
     """Reciprocal-log band-sum lower estimate, valid whenever d >= s.
 
     1/log(d/A) <= sum_n 1/log(4d/|band_n|) with A the geometric mean of
-    the off-diagonal entries. Default d = s, the tightest admissible value.
+    the off-diagonal entries. d = None takes s, the tightest admissible value.
     """
-    if summary is None:
-        summary = scalar_summary(c)
     if d is None:
         d = bs.s
     geo = summary.geom_mean_a
@@ -212,36 +195,25 @@ def theorem_log_sum_lower(
     )
 
 
-def corollary_max_band(
-    c: PeriodicCoefficients, bs: BandStructure, summary: ScalarSummary | None = None
-) -> BoundRecord:
+def _max_band_lower(p: int, summary: ScalarSummary, bs: BandStructure) -> BoundRecord:
     """4*A^p/s^(p-1) <= max band length; unconditional."""
-    if summary is None:
-        summary = scalar_summary(c)
     geo = summary.geom_mean_a
     return _record(
         "max_band_lower",
         "4*geomean(a)^p / s^(p-1) <= max|band|",
-        4.0 * _pow_ratio(geo, c.p, bs.s, c.p - 1),
+        4.0 * _pow_ratio(geo, p, bs.s, p - 1),
         bs.max_band,
     )
 
 
-def theorem_log_sum_upper(
-    c: PeriodicCoefficients,
-    bs: BandStructure,
-    d: float | None = None,
-    summary: ScalarSummary | None = None,
-) -> BoundRecord:
+def _log_sum_upper(p: int, summary: ScalarSummary, bs: BandStructure, d: float | None) -> BoundRecord:
     """Reciprocal-positive-log band-sum upper estimate, needing min gap >= d.
 
     sum_n 1/log+(4d/|band_n|) <= 1/log+(d/A). Vacuous whenever the right
-    side is +inf (d <= A). Default d = smallest open gap; the condition
-    also demands every gap be open, since a closed gap defeats any d > 0.
+    side is +inf (d <= A). d = None takes the smallest open gap; the
+    condition also demands every gap be open, since a closed gap defeats
+    any d > 0.
     """
-    if summary is None:
-        summary = scalar_summary(c)
-    p = c.p
     all_open = p >= 2 and not any(bs.closed_gap_flags)
     if d is None:
         d = bs.min_gap if (bs.min_gap is not None and math.isfinite(bs.min_gap)) else math.inf
@@ -268,13 +240,8 @@ def theorem_log_sum_upper(
     )
 
 
-def corollary_min_band(
-    c: PeriodicCoefficients, bs: BandStructure, summary: ScalarSummary | None = None
-) -> BoundRecord:
+def _min_band_upper(p: int, summary: ScalarSummary, bs: BandStructure) -> BoundRecord:
     """min band <= 4*A^p/g^(p-1) when 4g >= max(max band, 4A), g the min gap."""
-    if summary is None:
-        summary = scalar_summary(c)
-    p = c.p
     geo = summary.geom_mean_a
     g = min((gap.length for gap in bs.gaps), default=0.0)
     condition = p >= 2 and 4.0 * g >= max(bs.max_band, 4.0 * geo) * (1.0 - _COND_RTOL)
@@ -289,31 +256,23 @@ def corollary_min_band(
 
 
 def evaluate_all_bounds(
-    c: PeriodicCoefficients,
+    data: DiscriminantData,
     bs: BandStructure,
-    summary: ScalarSummary | None = None,
     d_lower: float | None = None,
     d_upper: float | None = None,
 ) -> BoundsReport:
-    """Evaluate all thirteen records against one operator's band data."""
-    if summary is None:
-        summary = scalar_summary(c)
-    records = classical_bounds(c, bs, summary)
-    records.append(theorem_log_sum_lower(c, bs, d_lower, summary))
-    records.append(corollary_max_band(c, bs, summary))
-    records.append(theorem_log_sum_upper(c, bs, d_upper, summary))
-    records.append(corollary_min_band(c, bs, summary))
-    assert len(records) == 13
-    band_summary = BandSummary(
-        s=bs.s,
-        total_band_measure=bs.total_band_measure,
-        total_gap_measure=bs.total_gap_measure,
-        max_band=bs.max_band,
-        min_band=bs.min_band,
-        min_gap=bs.min_gap,
-        closed_gaps=sum(bs.closed_gap_flags),
-    )
-    return BoundsReport(tuple(records), c, summary, band_summary)
+    """Evaluate all thirteen records against one operator's band data.
+
+    d_lower and d_upper are the scale d of the two reciprocal-log records
+    (None: the spectrum diameter s, and the smallest open gap).
+    """
+    p, summary = data.p, data.summary
+    records = _classical_bounds(p, summary, bs)
+    records.append(_log_sum_lower(summary, bs, d_lower))
+    records.append(_max_band_lower(p, summary, bs))
+    records.append(_log_sum_upper(p, summary, bs, d_upper))
+    records.append(_min_band_upper(p, summary, bs))
+    return BoundsReport(tuple(records), data.coeffs, summary, bs)
 
 
 def encode_extended(x):
@@ -340,7 +299,7 @@ def record_to_jsonable(record: BoundRecord) -> dict:
 
 
 def report_to_jsonable(report: BoundsReport) -> dict:
-    bsm = report.band_summary
+    bs = report.band_structure
     return {
         "operator": {"a": list(report.coefficients.a), "b": list(report.coefficients.b), "p": report.coefficients.p},
         "scalars": {
@@ -353,17 +312,13 @@ def report_to_jsonable(report: BoundsReport) -> dict:
             "gershgorin_spread": report.summary.gershgorin_spread,
         },
         "band_summary": {
-            "s": bsm.s,
-            "total_band_measure": bsm.total_band_measure,
-            "total_gap_measure": bsm.total_gap_measure,
-            "max_band": bsm.max_band,
-            "min_band": bsm.min_band,
-            "min_gap": encode_extended(bsm.min_gap),
-            "closed_gaps": bsm.closed_gaps,
+            "s": bs.s,
+            "total_band_measure": bs.total_band_measure,
+            "total_gap_measure": bs.total_gap_measure,
+            "max_band": bs.max_band,
+            "min_band": bs.min_band,
+            "min_gap": encode_extended(bs.min_gap),
+            "closed_gaps": sum(bs.closed_gap_flags),
         },
         "bounds": [record_to_jsonable(r) for r in report.records],
     }
-
-
-def report_to_json(report: BoundsReport, indent: int = 2) -> str:
-    return json.dumps(report_to_jsonable(report), indent=indent)

@@ -48,7 +48,7 @@ def _cmd_analyze(args) -> int:
     summary = data.summary
     bs = band_structure(data)
     pot = potential_report(data, bs)
-    report = evaluate_all_bounds(c, bs, summary, d_lower=args.d_lower, d_upper=args.d_upper)
+    report = evaluate_all_bounds(data, bs, d_lower=args.d_lower, d_upper=args.d_upper)
 
     print(f"period p = {c.p}")
     print(f"a = {list(c.a)}")

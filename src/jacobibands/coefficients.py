@@ -67,10 +67,14 @@ class ScalarSummary:
 def new_periodic(a, b) -> PeriodicCoefficients:
     """Validate raw sequences and build a PeriodicCoefficients value.
 
-    Raises LengthMismatch, NonPositiveOffDiagonal or NonFiniteEntry.
+    Raises LengthMismatch, NonPositiveOffDiagonal or NonFiniteEntry (an
+    integer beyond the float range included).
     """
-    a = tuple(float(x) for x in a)
-    b = tuple(float(x) for x in b)
+    try:
+        a = tuple(float(x) for x in a)
+        b = tuple(float(x) for x in b)
+    except OverflowError as exc:
+        raise NonFiniteEntry(f"coefficient beyond the float range: {exc}") from None
     if len(a) == 0 or len(a) != len(b):
         raise LengthMismatch(f"need equal nonempty sequences, got len(a)={len(a)}, len(b)={len(b)}")
     for x in a + b:
@@ -113,9 +117,13 @@ def offdiag_product(c: PeriodicCoefficients) -> float:
 
 
 def load_operator(path) -> PeriodicCoefficients:
-    """Read an operator from a JSON file of the form {"a": [...], "b": [...]}."""
+    """Read an operator from a JSON file of the form {"a": [...], "b": [...]}.
+
+    Integer literals parse as floats, so one beyond the float range, of
+    any length, is +/-inf and raises NonFiniteEntry.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_int=float)
     return parse_operator(payload)
 
 

@@ -48,6 +48,10 @@ from .floquet import tridiagonal_eigenvalues
 # unit roundoff with headroom; used by the running error bound
 _U = 2.3e-16
 
+# Each end of the search interval lies this fraction of the Gershgorin
+# width beyond it.
+_SEARCH_PAD = 0.01
+
 # Bound by name only for the ("jacobibands.discriminant", "real_roots_in")
 # entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up;
 # nothing calls it, so its "polynomial" span never opens.
@@ -73,13 +77,13 @@ class DiscriminantData:
         return self.coeffs.p
 
 
-def search_interval(s: ScalarSummary, pad_fraction: float = 0.01) -> tuple[float, float]:
-    """Gershgorin interval of an operator's summary, padded by a fraction of its width.
+def search_interval(s: ScalarSummary) -> tuple[float, float]:
+    """Gershgorin interval of an operator's summary, padded by `_SEARCH_PAD` of its width.
 
     Every root of the discriminant and of discriminant +/- 2 lies strictly
     inside; the padding guarantees |trace| > 2 at both endpoints.
     """
-    pad = pad_fraction * (s.gershgorin_hi - s.gershgorin_lo)
+    pad = _SEARCH_PAD * (s.gershgorin_hi - s.gershgorin_lo)
     return s.gershgorin_lo - pad, s.gershgorin_hi + pad
 
 

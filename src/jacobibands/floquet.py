@@ -29,27 +29,28 @@ import math
 from .coefficients import PeriodicCoefficients
 from .errors import NonConvergence
 
+# An off-diagonal counts as zero once it is at most this times the summed
+# magnitudes of its two neighbouring diagonal entries.
+_DEFLATE_RTOL = 1e-13
 
-def tridiagonal_eigenvalues(
-    d, e, tol: float = 1e-13, max_sweeps: int = 100
-) -> tuple[float, ...]:
+# QL steps per eigenvalue before NonConvergence; symmetric input deflates
+# in about two.
+_QL_BUDGET = 100
+
+
+def tridiagonal_eigenvalues(d, e) -> tuple[float, ...]:
     """All eigenvalues, sorted ascending, of the symmetric tridiagonal matrix
     with diagonal d and off-diagonal e (e[i] couples i and i + 1, so
     len(e) == len(d) - 1).
 
     QL iterations with Wilkinson shifts (EISPACK tql1; Bowdler, Martin,
     Reinsch & Wilkinson, Numer. Math. 11, 1968) deflate the matrix one
-    eigenvalue at a time. An off-diagonal counts as zero once it is at
-    most tol times the sum of the magnitudes of its two neighbouring
-    diagonal entries. max_sweeps is the QL iteration budget per
-    eigenvalue; NonConvergence is raised when it runs out, which does not
-    happen for symmetric input at the default budget.
+    eigenvalue at a time, at `_DEFLATE_RTOL`. NonConvergence is raised
+    when an eigenvalue takes more than `_QL_BUDGET` steps.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
     d = list(d)
     e = [*e, 0.0][: len(d)]
-    _implicit_ql(d, e, tol, max_sweeps)
+    _implicit_ql(d, e)
     return tuple(sorted(d))
 
 
@@ -96,7 +97,7 @@ def _folded_tridiagonal(c: PeriodicCoefficients, sign: float) -> tuple[list[floa
     return [m[i][i] for i in range(p)], [m[i + 1][i] for i in range(p - 1)]
 
 
-def _implicit_ql(d: list[float], e: list[float], tol: float, budget: int) -> None:
+def _implicit_ql(d: list[float], e: list[float]) -> None:
     """Eigenvalues of the tridiagonal (d, e) into d, in place.
 
     Each QL step on the unreduced block [l, m] takes the Wilkinson shift
@@ -104,6 +105,7 @@ def _implicit_ql(d: list[float], e: list[float], tol: float, budget: int) -> Non
     rotations.
     """
     hypot, copysign = math.hypot, math.copysign
+    tol, budget = _DEFLATE_RTOL, _QL_BUDGET
     n = len(d)
     for l in range(n):
         steps = 0

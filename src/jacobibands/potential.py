@@ -3,14 +3,22 @@
 The scaled discriminant (off-diagonal product times the discriminant) is
 the monic minimax polynomial of the spectrum, so its sup norm over the
 bands, the alternating set of its extrema, and the per-band equilibrium
-weights are all computable from band data in closed form. This module
-evaluates them and cross-checks the defining identities numerically:
+weights are all computable from band data in closed form.
+`potential_report` evaluates them in one record and checks what can
+fail:
 
   capacity of an interval   = length / 4
   minimax norm              = 2 * (off-diagonal product)
   capacity of the spectrum  = geometric mean of the off-diagonal entries
+                              (CapacityMismatch beyond 1e-9 relative)
   minimax norm / capacity^p = 2
+  the float sign of D at each extremum, the rightmost sign +, and an
+  alternating run of p + 1 extrema (AlternationFailure otherwise)
   weight of maximal piece j = (extreme points on it - 1) / p
+
+The extreme points number p + l, l the number of maximal intervals, and
+the weights sum to 1 by construction: every gap, open or closed, adds
+one point beyond the band's first.
 """
 
 from __future__ import annotations
@@ -38,6 +46,11 @@ from .errors import AlternationFailure, CapacityMismatch
 # runs only where that bound cannot decide.
 _EXACT_REFINE_TRIGGER = 1e-10
 
+# The certificate of `_refine_value_exact` looks for a crossing no farther
+# from the edge than this fraction of the search interval, the tolerance of
+# the oracle comparison of `ensemble.run_trial`.
+_CERTIFY_RADIUS = 1e-8
+
 _CAPACITY_RTOL = 1e-9
 
 
@@ -55,7 +68,6 @@ class AlternationData:
     extreme_point_count: int
     maximal_intervals: tuple[Interval, ...]
     points_per_interval: tuple[int, ...]
-    period: int
 
 
 @dataclass(frozen=True)
@@ -97,17 +109,16 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     they differ by more than the bound. Only a step where the bound cannot
     decide an end takes the exact signs of both ends instead. Sides that
     differ, by either test, return |target|. The bracket widens until the
-    signs differ, but not past the search interval, which holds every
-    root. With no sign change (a touching edge) the float value, fine
-    there, is returned.
+    signs differ, but h not past `_CERTIFY_RADIUS` of the search interval:
+    a crossing farther away belongs to another edge. Without one (a
+    touching edge, or a wrong one) the float value at x is returned.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
+    h_max = _CERTIFY_RADIUS * max(1.0, hi_bound - lo_bound)
     h = max(1e-13 * max(1.0, abs(x)), 1e-15)
-    for _ in range(30):
+    while h <= h_max:
         lo, hi = x - h, x + h
-        if lo <= lo_bound and hi >= hi_bound:
-            break
         (v_lo, e_lo), (v_hi, e_hi) = eval_discriminant_bounded(c, lo), eval_discriminant_bounded(c, hi)
         if abs(v_lo - target) > e_lo and abs(v_hi - target) > e_hi:
             if (v_lo > target) != (v_hi > target):
@@ -122,17 +133,15 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     return abs(eval_discriminant(c, x))
 
 
-def _edge_evaluations(d: DiscriminantData, bs: BandStructure) -> dict[float, float]:
-    """`eval_discriminant` at each distinct band edge, keyed by the edge."""
-    out: dict[float, float] = {}
-    for x in bs.edges:
-        if x not in out:
-            out[x] = eval_discriminant(d.coeffs, x)
-    return out
+def _chebyshev_number(d: DiscriminantData, bs: BandStructure, evals) -> float:
+    """Sup of |scaled discriminant| over the spectrum.
 
-
-def _edge_values(d: DiscriminantData, bs: BandStructure, evals) -> list[float]:
-    """|discriminant| at every band edge, exact-refined where needed."""
+    The sup of a polynomial over a union of intervals sits at an endpoint
+    or an interior critical point; interior critical points of the bands
+    are exactly the touch points, which are already edges, so the edge
+    set is the full candidate set. evals maps each edge to its float D;
+    edges where |D| strays from 2 are refined exactly.
+    """
     values = []
     for band, (lab_lo, lab_hi) in zip(bs.bands, bs.edge_labels):
         for x, lab in ((band.lo, lab_lo), (band.hi, lab_hi)):
@@ -141,56 +150,16 @@ def _edge_values(d: DiscriminantData, bs: BandStructure, evals) -> list[float]:
                 values.append(_refine_value_exact(d, x, 2 * lab))
             else:
                 values.append(abs(v))
-    return values
+    return offdiag_product(d.coeffs) * max(values)
 
 
-def chebyshev_number(d: DiscriminantData, bs: BandStructure) -> float:
-    """Sup of |scaled discriminant| over the spectrum.
-
-    The sup of a polynomial over a union of intervals sits at an endpoint
-    or an interior critical point; interior critical points of the bands
-    are exactly the touch points, which are already edges, so the edge
-    set is the full candidate set.
-    """
-    return _chebyshev_number(d, bs, _edge_evaluations(d, bs))
-
-
-def _chebyshev_number(d, bs, evals):
-    return offdiag_product(d.coeffs) * max(_edge_values(d, bs, evals))
-
-
-def spectrum_capacity(
-    d: DiscriminantData, bs: BandStructure, cheb: float | None = None
-) -> float:
-    """Capacity from the minimax identity; must match the geometric mean.
-
-    Raises CapacityMismatch when (cheb/2)^(1/p) strays from the geometric
-    mean of the off-diagonal entries by more than 1e-9 relative.
-    """
-    p = d.p
-    if cheb is None:
-        cheb = chebyshev_number(d, bs)
-    cap = math.exp((math.log(cheb) - math.log(2.0)) / p)
-    geo = d.summary.geom_mean_a
-    if abs(cap - geo) > _CAPACITY_RTOL * geo:
-        raise CapacityMismatch(
-            f"capacity {cap} vs geometric mean {geo}: relative gap {abs(cap - geo) / geo:.3e}"
-        )
-    return cap
-
-
-def alternation_set(d: DiscriminantData, bs: BandStructure) -> AlternationData:
+def _alternation_set(d: DiscriminantData, bs: BandStructure, evals) -> AlternationData:
     """Extremal set of the scaled discriminant with alternation checks.
 
     The distinct extreme points are the band edges, shared at closed gaps.
-    Verifies the float sign at each point, the existence of an alternating
-    subsequence of length p + 1 ending with +, and the count p + l where
-    l is the number of maximal closed intervals of the spectrum.
+    Verifies the float sign at each point, the sign + at the rightmost one
+    and an alternating subsequence of length p + 1.
     """
-    return _alternation_set(d, bs, _edge_evaluations(d, bs))
-
-
-def _alternation_set(d, bs, evals):
     p = bs.p
     points: list[AlternationPoint] = []
     pieces: list[list[Interval]] = [[bs.bands[0]]]
@@ -226,54 +195,41 @@ def _alternation_set(d, bs, evals):
         raise AlternationFailure(
             f"longest alternating subsequence has {flips + 1} points, need {p + 1}"
         )
-
-    maximal = tuple(Interval(group[0].lo, group[-1].hi) for group in pieces)
-    n_pieces = len(maximal)
-    count = len(points)
-    if count != p + n_pieces:
-        raise AlternationFailure(
-            f"{count} extreme points, expected p + l = {p} + {n_pieces}"
-        )
     return AlternationData(
         points=tuple(points),
-        extreme_point_count=count,
-        maximal_intervals=maximal,
+        extreme_point_count=len(points),
+        maximal_intervals=tuple(Interval(group[0].lo, group[-1].hi) for group in pieces),
         points_per_interval=tuple(counts),
-        period=p,
     )
-
-
-def equilibrium_band_measures(alt: AlternationData) -> tuple[Fraction, ...]:
-    """Equilibrium weight of each maximal interval, as an exact rational.
-
-    Interval j carrying k_j + 1 extreme points receives weight k_j / p.
-    With every gap open this is 1/p per band; the weights always sum to 1.
-    """
-    p = alt.period
-    counts = alt.points_per_interval
-    measures = tuple(Fraction(k - 1, p) for k in counts)
-    if any(k < 2 for k in counts) or sum(counts) - len(counts) != p:
-        raise AlternationFailure(f"equilibrium weights {measures} do not sum to 1")
-    return measures
 
 
 def potential_report(d: DiscriminantData, bs: BandStructure) -> PotentialReport:
     """All potential-theoretic quantities of one operator in one record.
 
-    Each distinct edge is evaluated once, for the sup and the alternation signs.
+    Each distinct edge is evaluated once, for the sup and the alternation
+    signs. Raises CapacityMismatch when (cheb/2)^(1/p) strays from the
+    geometric mean of the off-diagonal entries by more than 1e-9 relative,
+    and AlternationFailure when an alternation check fails. Maximal
+    interval j with k_j extreme points weighs (k_j - 1) / p.
     """
-    evals = _edge_evaluations(d, bs)
+    evals: dict[float, float] = {}
+    for x in bs.edges:
+        if x not in evals:
+            evals[x] = eval_discriminant(d.coeffs, x)
     cheb = _chebyshev_number(d, bs, evals)
-    cap = spectrum_capacity(d, bs, cheb)
+    cap = math.exp((math.log(cheb) - math.log(2.0)) / d.p)
+    geo = d.summary.geom_mean_a
+    if abs(cap - geo) > _CAPACITY_RTOL * geo:
+        raise CapacityMismatch(
+            f"capacity {cap} vs geometric mean {geo}: relative gap {abs(cap - geo) / geo:.3e}"
+        )
     alt = _alternation_set(d, bs, evals)
-    measures = equilibrium_band_measures(alt)
-    widom = cheb / math.exp(bs.p * math.log(cap))
     return PotentialReport(
         cap_spectrum=cap,
         cap_bands=tuple(capacity_interval(b) for b in bs.bands),
         cheb_number=cheb,
-        widom_factor=widom,
+        widom_factor=cheb / math.exp(bs.p * math.log(cap)),
         alternation=alt,
-        band_measures=measures,
+        band_measures=tuple(Fraction(k - 1, bs.p) for k in alt.points_per_interval),
         extreme_point_count=alt.extreme_point_count,
     )

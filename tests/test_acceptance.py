@@ -66,7 +66,7 @@ def test_criterion_2_free_case_fixture():
                 assert abs(got - want) <= 1e-9, (p, got, want)
             assert all(bs.closed_gap_flags)
             assert abs(bs.total_band_measure - 4.0) <= 1e-9
-            rep_records = {r.name: r for r in evaluate_all_bounds(c, bs).records}
+            rep_records = {r.name: r for r in evaluate_all_bounds(d, bs).records}
             assert abs(rep_records["band_sum_upper_capacity"].slack) <= 1e-9
             assert abs(rep_records["band_sum_upper_min_offdiag"].slack) <= 1e-9
         elapsed = time.perf_counter() - t0

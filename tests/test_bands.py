@@ -9,7 +9,6 @@ from jacobibands import (
     band_structure,
     bands_to_csv,
     build_discriminant,
-    gap_report,
     new_periodic,
 )
 from jacobibands import bands as bands_mod
@@ -85,17 +84,15 @@ def test_single_band_operator():
 
 def test_gap_report_variants(period2_bands):
     _, bs = period2_bands
-    min_gap, flags = gap_report(bs, 1e-9)
-    assert min_gap == pytest.approx(2.0, abs=1e-11)
-    assert flags == (False,)
+    assert bs.min_gap == pytest.approx(2.0, abs=1e-11)
+    assert bs.closed_gap_flags == (False,)
 
     free = band_structure(build_discriminant(free_operator(2)))
-    min_gap, flags = gap_report(free, 1e-9)
-    assert min_gap == math.inf
-    assert flags == (True,)
+    assert free.min_gap == math.inf
+    assert free.closed_gap_flags == (True,)
 
     single = band_structure(build_discriminant(new_periodic([1.0], [0.0])))
-    assert gap_report(single, 1e-9) == (None, ())
+    assert (single.min_gap, single.closed_gap_flags) == (None, ())
 
 
 def test_exactly_p_bands_for_touching_spectra():
@@ -106,16 +103,19 @@ def test_exactly_p_bands_for_touching_spectra():
         assert bs.total_band_measure == pytest.approx(4.0, abs=1e-10)
 
 
-def test_near_touching_gap_follows_closed_tol():
-    c = new_periodic([1.0, 1.0], [0.0, 1e-7])
-    bs = band_structure(build_discriminant(c))
-    # the gap is genuinely open at width ~1e-7, far above closed_tol * s;
+def test_near_touching_gap_follows_closed_tol(monkeypatch):
+    d = build_discriminant(new_periodic([1.0, 1.0], [0.0, 1e-7]))
+    bs = band_structure(d)
+    # the gap is genuinely open at width ~1e-7, far above DEFAULT_CLOSED_TOL * s;
     # its flat edges are sharpened by exact bisection
     assert bs.closed_gap_flags == (False,)
     assert bs.gaps[0].length == pytest.approx(1e-7, rel=1e-4)
-    # a generous closed_tol reclassifies it
-    _, flags = gap_report(bs, 1e-6)
-    assert flags == (True,)
+    assert bs.min_gap == bs.gaps[0].length
+    # a generous closed tolerance reclassifies it
+    monkeypatch.setattr(bands_mod, "DEFAULT_CLOSED_TOL", 1e-6)
+    wide = band_structure(d)
+    assert wide.closed_gap_flags == (True,)
+    assert wide.min_gap == math.inf
 
 
 def test_edge_values_hit_targets():
@@ -331,14 +331,6 @@ def test_corrupted_critical_points_raise():
     broken = DiscriminantData(coeffs=d.coeffs, summary=d.summary, knots=(), knot_values=())
     with pytest.raises(EdgeCountMismatch):
         bands_fn(broken)
-
-
-def test_rejects_bad_tolerances(period2_bands):
-    d, _ = period2_bands
-    with pytest.raises(ValueError):
-        band_structure(d, tol=0.0)
-    with pytest.raises(ValueError):
-        band_structure(d, closed_tol=-1.0)
 
 
 def test_csv_export_layout(period2_bands):

@@ -6,20 +6,14 @@ import pytest
 from jacobibands import (
     band_structure,
     build_discriminant,
-    classical_bounds,
-    corollary_max_band,
-    corollary_min_band,
     evaluate_all_bounds,
     new_periodic,
     run_trial,
-    theorem_log_sum_lower,
-    theorem_log_sum_upper,
 )
 from jacobibands.bounds import (
     CONDITIONAL_NAMES,
     UNCONDITIONAL_NAMES,
     _pow_ratio,
-    report_to_json,
     report_to_jsonable,
 )
 
@@ -30,13 +24,16 @@ SQRT5 = math.sqrt(5.0)
 
 def pipeline(c):
     d = build_discriminant(c)
-    return band_structure(d)
+    return d, band_structure(d)
+
+
+def bounds(c, **d_overrides):
+    return evaluate_all_bounds(*pipeline(c), **d_overrides)
 
 
 @pytest.fixture(scope="module")
 def period2_report():
-    c = period2_operator()
-    return evaluate_all_bounds(c, pipeline(c))
+    return bounds(period2_operator())
 
 
 def test_report_has_exactly_thirteen_records(period2_report):
@@ -91,9 +88,7 @@ def test_period2_log_sum_lower_closed_form(period2_report):
 
 
 def test_period2_log_sum_upper_closed_form():
-    c = period2_operator()
-    bs = pipeline(c)
-    r = theorem_log_sum_upper(c, bs, d=2.0)
+    r = bounds(period2_operator(), d_upper=2.0).by_name("log_sum_upper")
     assert r.condition_met
     assert r.rhs == pytest.approx(1.0 / math.log(2.0), abs=1e-10)
     assert r.lhs == pytest.approx(2.0 / math.log(8.0 / (SQRT5 - 1.0)), abs=1e-10)
@@ -117,8 +112,7 @@ def test_period2_min_band_upper(period2_report):
 
 def test_free_case_equalities():
     for p in (2, 5):
-        c = free_operator(p)
-        rep = evaluate_all_bounds(c, pipeline(c))
+        rep = bounds(free_operator(p))
         assert rep.by_name("band_sum_upper_capacity").slack == pytest.approx(0.0, abs=1e-9)
         assert rep.by_name("band_sum_upper_min_offdiag").slack == pytest.approx(0.0, abs=1e-9)
         assert rep.by_name("gap_sum_lower_capacity").slack == pytest.approx(0.0, abs=1e-9)
@@ -138,8 +132,7 @@ def test_gershgorin_containment_record(period2_report):
 
 
 def test_single_site_records():
-    c = new_periodic([1.5], [2.0])
-    rep = evaluate_all_bounds(c, pipeline(c))
+    rep = bounds(new_periodic([1.5], [2.0]))
     # the only band is [b-2a, b+2a]: every length-type bound is tight
     assert rep.by_name("diameter_lower").slack == pytest.approx(0.0, abs=1e-9)
     assert rep.by_name("max_band_lower").slack == pytest.approx(0.0, abs=1e-9)
@@ -153,8 +146,9 @@ def test_single_site_records():
 
 def test_scaling_doubles_classical_sides():
     c = period2_operator()
-    base = classical_bounds(c, pipeline(c))
-    doubled = classical_bounds(c.scaled(2.0), pipeline(c.scaled(2.0)))
+    # the nine classical records come first
+    base = bounds(c).records[:9]
+    doubled = bounds(c.scaled(2.0)).records[:9]
     for r0, r1 in zip(base, doubled):
         if not r0.condition_met:
             continue
@@ -166,52 +160,47 @@ def test_scaling_doubles_classical_sides():
 
 def test_log_sum_lower_scale_invariant_satisfaction():
     c = period2_operator()
-    bs = pipeline(c)
-    r0 = theorem_log_sum_lower(c, bs, d=bs.s)
-    c2 = c.scaled(3.0)
-    bs2 = pipeline(c2)
-    r1 = theorem_log_sum_lower(c2, bs2, d=3.0 * bs.s)
+    _, bs = pipeline(c)
+    r0 = bounds(c, d_lower=bs.s).by_name("log_sum_lower")
+    r1 = bounds(c.scaled(3.0), d_lower=3.0 * bs.s).by_name("log_sum_lower")
     assert r0.satisfied and r1.satisfied
     assert r1.lhs == pytest.approx(r0.lhs, rel=1e-9)
     assert r1.rhs == pytest.approx(r0.rhs, rel=1e-9)
 
 
 def test_log_sum_lower_monotone_in_d():
-    c = period2_operator()
-    bs = pipeline(c)
-    values = [theorem_log_sum_lower(c, bs, d=d) for d in (bs.s, 2 * bs.s, 10 * bs.s)]
+    d, bs = pipeline(period2_operator())
+    values = [
+        evaluate_all_bounds(d, bs, d_lower=x).by_name("log_sum_lower") for x in (bs.s, 2 * bs.s, 10 * bs.s)
+    ]
     assert values[0].lhs > values[1].lhs > values[2].lhs
     assert values[0].rhs > values[1].rhs > values[2].rhs
     assert all(v.satisfied for v in values)
 
 
 def test_log_sum_lower_condition_requires_d_at_least_s():
-    c = period2_operator()
-    bs = pipeline(c)
-    r = theorem_log_sum_lower(c, bs, d=0.5 * bs.s)
+    d, bs = pipeline(period2_operator())
+    r = evaluate_all_bounds(d, bs, d_lower=0.5 * bs.s).by_name("log_sum_lower")
     assert not r.condition_met
     assert r.satisfied  # vacuous
 
 
 def test_log_sum_upper_vacuous_when_d_below_capacity():
-    c = period2_operator()
-    bs = pipeline(c)
-    r = theorem_log_sum_upper(c, bs, d=0.5)  # d < geometric mean = 1
+    r = bounds(period2_operator(), d_upper=0.5).by_name("log_sum_upper")  # d < geometric mean = 1
     assert math.isinf(r.rhs)
     assert r.satisfied
     assert math.isinf(r.slack)
 
 
 def test_min_band_upper_wide_gap_case():
-    c = new_periodic([1.0, 1.0], [0.0, 10.0])
-    bs = pipeline(c)
-    r = corollary_min_band(c, bs)
+    d, bs = pipeline(new_periodic([1.0, 1.0], [0.0, 10.0]))
+    rep = evaluate_all_bounds(d, bs)
+    r = rep.by_name("min_band_upper")
     assert r.condition_met
     g = bs.min_gap
     assert r.rhs == pytest.approx(4.0 / g, rel=1e-9)
     assert r.satisfied
-    r2 = corollary_max_band(c, bs)
-    assert r2.satisfied
+    assert rep.by_name("max_band_lower").satisfied
 
 
 def test_chain_consistency_max_band_sandwich():
@@ -220,22 +209,20 @@ def test_chain_consistency_max_band_sandwich():
     cfg = EnsembleConfig(trials=10, seed=33)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
-        bs = pipeline(c)
-        rep = evaluate_all_bounds(c, bs)
+        d, bs = pipeline(c)
+        rep = evaluate_all_bounds(d, bs)
         lower = rep.by_name("max_band_lower").lhs
         assert lower <= bs.total_band_measure * (1 + 1e-12)
         assert bs.total_band_measure <= c.p * bs.max_band * (1 + 1e-12)
 
 
 def test_json_serialization_encodes_infinity():
-    c = free_operator(2)
-    rep = evaluate_all_bounds(c, pipeline(c))
-    payload = report_to_jsonable(rep)
+    payload = report_to_jsonable(bounds(free_operator(2)))
     assert len(payload["bounds"]) == 13
     upper = next(r for r in payload["bounds"] if r["name"] == "log_sum_upper")
     assert upper["condition_met"] is False
     assert payload["band_summary"]["min_gap"] == "inf"
-    text = report_to_json(rep)
+    text = json.dumps(payload, indent=2)
     parsed = json.loads(text)  # strict JSON: would fail on bare Infinity
     assert parsed["operator"]["p"] == 2
     names = [r["name"] for r in parsed["bounds"]]

@@ -153,3 +153,10 @@ def test_parse_operator_requires_keys():
         parse_operator({"a": [True], "b": [1]})
     with pytest.raises(NonFiniteEntry, match=r"a\[0\]"):
         parse_operator({"a": ["x"], "b": [1]})
+
+
+def test_integer_beyond_float_range_is_non_finite():
+    with pytest.raises(NonFiniteEntry):
+        parse_operator({"a": [10**400], "b": [0]})
+    with pytest.raises(NonFiniteEntry):
+        new_periodic([1.0], [-(10**400)])

@@ -1,19 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from jacobibands import (
-    AlternationFailure,
-    alternation_set,
+    CapacityMismatch,
     band_structure,
     build_discriminant,
     capacity_interval,
-    chebyshev_number,
-    equilibrium_band_measures,
     new_periodic,
     potential_report,
-    spectrum_capacity,
 )
 from jacobibands import potential as potential_mod
 from jacobibands.bands import Interval
@@ -31,6 +28,10 @@ def pipeline(c):
     return d, bs
 
 
+def report(c):
+    return potential_report(*pipeline(c))
+
+
 def test_capacity_interval_quarter_length():
     assert capacity_interval(Interval(-2.0, 2.0)) == 1.0
     assert capacity_interval(Interval(0.0, 0.0)) == 0.0
@@ -40,35 +41,27 @@ def test_capacity_interval_quarter_length():
 
 
 def test_chebyshev_number_period2():
-    d, bs = pipeline(period2_operator())
-    assert chebyshev_number(d, bs) == pytest.approx(2.0, rel=1e-10)
+    assert report(period2_operator()).cheb_number == pytest.approx(2.0, rel=1e-10)
 
 
 def test_chebyshev_number_free_case():
     for p in (2, 3, 6):
-        d, bs = pipeline(free_operator(p))
-        assert chebyshev_number(d, bs) == pytest.approx(2.0, rel=1e-10)
+        assert report(free_operator(p)).cheb_number == pytest.approx(2.0, rel=1e-10)
 
 
 def test_chebyshev_number_scales_with_offdiagonal():
-    d, bs = pipeline(new_periodic([2.0, 2.0], [0.0, 0.0]))
-    assert chebyshev_number(d, bs) == pytest.approx(8.0, rel=1e-10)
+    assert report(new_periodic([2.0, 2.0], [0.0, 0.0])).cheb_number == pytest.approx(8.0, rel=1e-10)
 
 
 def test_spectrum_capacity_examples():
-    d, bs = pipeline(period2_operator())
-    assert spectrum_capacity(d, bs) == pytest.approx(1.0, rel=1e-10)
-
-    d, bs = pipeline(new_periodic([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
-    assert spectrum_capacity(d, bs) == pytest.approx(2.0, rel=1e-9)
-
-    d, bs = pipeline(new_periodic([1.0, 4.0], [0.0, 0.0]))
-    assert spectrum_capacity(d, bs) == pytest.approx(2.0, rel=1e-9)
+    assert report(period2_operator()).cap_spectrum == pytest.approx(1.0, rel=1e-10)
+    rep = report(new_periodic([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+    assert rep.cap_spectrum == pytest.approx(2.0, rel=1e-9)
+    assert report(new_periodic([1.0, 4.0], [0.0, 0.0])).cap_spectrum == pytest.approx(2.0, rel=1e-9)
 
 
 def test_alternation_period2():
-    d, bs = pipeline(period2_operator())
-    alt = alternation_set(d, bs)
+    alt = report(period2_operator()).alternation
     xs = [pt.x for pt in alt.points]
     signs = [pt.sign for pt in alt.points]
     assert xs == pytest.approx([1.0 - SQRT5, 0.0, 2.0, 1.0 + SQRT5], abs=1e-10)
@@ -78,37 +71,29 @@ def test_alternation_period2():
 
 
 def test_alternation_free_period2():
-    d, bs = pipeline(free_operator(2))
-    alt = alternation_set(d, bs)
+    alt = report(free_operator(2)).alternation
     assert [pt.sign for pt in alt.points] == [1, -1, 1]
     assert [pt.x for pt in alt.points] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-10)
     assert alt.extreme_point_count == 3  # p + l = 2 + 1
 
 
 def test_alternation_single_band():
-    d, bs = pipeline(new_periodic([1.0], [5.0]))
-    alt = alternation_set(d, bs)
+    alt = report(new_periodic([1.0], [5.0])).alternation
     assert [pt.x for pt in alt.points] == pytest.approx([3.0, 7.0], abs=1e-10)
     assert [pt.sign for pt in alt.points] == [-1, 1]
     assert alt.extreme_point_count == 2  # p + l = 1 + 1
 
 
 def test_equilibrium_measures_open_gaps():
-    d, bs = pipeline(period2_operator())
-    measures = equilibrium_band_measures(alternation_set(d, bs))
-    assert measures == (Fraction(1, 2), Fraction(1, 2))
+    assert report(period2_operator()).band_measures == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_equilibrium_measures_merged_spectrum():
-    d, bs = pipeline(free_operator(2))
-    measures = equilibrium_band_measures(alternation_set(d, bs))
-    assert measures == (Fraction(1, 1),)
+    assert report(free_operator(2)).band_measures == (Fraction(1, 1),)
 
 
 def test_equilibrium_measures_single_band():
-    d, bs = pipeline(new_periodic([1.0], [0.0]))
-    measures = equilibrium_band_measures(alternation_set(d, bs))
-    assert measures == (Fraction(1, 1),)
+    assert report(new_periodic([1.0], [0.0])).band_measures == (Fraction(1, 1),)
 
 
 def test_mixed_touching_counts():
@@ -119,22 +104,9 @@ def test_mixed_touching_counts():
     assert bs.bands[0].lo == pytest.approx(-3.0, abs=1e-10)
     assert bs.bands[0].hi == pytest.approx(-math.sqrt(5.0), abs=1e-10)
     assert bs.bands[1].hi == pytest.approx(-1.0, abs=1e-10)
-    alt = alternation_set(d, bs)
-    assert alt.extreme_point_count == 4 + 2
-    measures = equilibrium_band_measures(alt)
-    assert measures == (Fraction(1, 2), Fraction(1, 2))
-
-
-def test_equilibrium_weights_need_p_points_beyond_one_per_interval():
-    # Interval j with k_j extreme points weighs (k_j - 1) / p: every k_j >= 2
-    # and the k_j - 1 sum to p.
-    def alt(counts, p):
-        return potential_mod.AlternationData((), sum(counts), (), counts, p)
-
-    assert equilibrium_band_measures(alt((3, 2), 3)) == (Fraction(2, 3), Fraction(1, 3))
-    for counts, p in (((3, 1), 2), ((2, 2), 3), ((2, 2, 2), 2)):
-        with pytest.raises(AlternationFailure, match="do not sum to 1"):
-            equilibrium_band_measures(alt(counts, p))
+    rep = potential_report(d, bs)
+    assert rep.alternation.extreme_point_count == 4 + 2
+    assert rep.band_measures == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_widom_identity_across_ensemble():
@@ -150,26 +122,20 @@ def test_capacity_monotonicity_sandwich():
     cfg = EnsembleConfig(trials=15, seed=15)
     for k in range(cfg.trials):
         d, bs = pipeline(sample_operator(cfg, k))
-        cap = spectrum_capacity(d, bs)
+        cap = potential_report(d, bs).cap_spectrum
         assert max(capacity_interval(b) for b in bs.bands) <= cap * (1 + 1e-9)
         assert cap <= bs.s / 4.0 * (1 + 1e-9)
 
 
 def test_capacity_translation_invariance_and_homogeneity():
     c = new_periodic([0.5, 2.0, 1.5], [0.7, -0.2, 0.1])
-    d, bs = pipeline(c)
-    base = spectrum_capacity(d, bs)
-
-    d, bs = pipeline(c.shifted(4.0))
-    assert spectrum_capacity(d, bs) == pytest.approx(base, rel=1e-9)
-
-    d, bs = pipeline(c.scaled(3.0))
-    assert spectrum_capacity(d, bs) == pytest.approx(3.0 * base, rel=1e-9)
+    base = report(c).cap_spectrum
+    assert report(c.shifted(4.0)).cap_spectrum == pytest.approx(base, rel=1e-9)
+    assert report(c.scaled(3.0)).cap_spectrum == pytest.approx(3.0 * base, rel=1e-9)
 
 
 def test_report_bundles_everything():
-    d, bs = pipeline(period2_operator())
-    rep = potential_report(d, bs)
+    rep = report(period2_operator())
     assert rep.cap_spectrum == pytest.approx(1.0, rel=1e-10)
     assert rep.cheb_number == pytest.approx(2.0, rel=1e-10)
     assert rep.widom_factor == pytest.approx(2.0, rel=1e-12)
@@ -177,6 +143,19 @@ def test_report_bundles_everything():
         ((SQRT5 - 1.0) / 4.0, (SQRT5 - 1.0) / 4.0), abs=1e-11
     )
     assert sum(rep.band_measures) == 1
+
+
+@pytest.mark.parametrize("delta", [0.3, 1e-3, 1e-6])
+def test_capacity_catches_an_edge_moved_into_its_gap(delta):
+    # The upper edge of band 1 moved by delta has |D| > 2 there, and the
+    # nearest crossing of -2 is delta away: the certificate must not reach
+    # it, so the sup, and with it the capacity, shows the wrong edge.
+    d, bs = pipeline(new_periodic([1.0, 0.5, 2.0], [0.3, -1.0, 1.5]))
+    bands = list(bs.bands)
+    bands[1] = Interval(bands[1].lo, bands[1].hi + delta)
+    assert bands[1].hi < bands[2].lo
+    with pytest.raises(CapacityMismatch):
+        potential_report(d, dataclasses.replace(bs, bands=tuple(bands)))
 
 
 def test_exact_refinement_certifies_steep_edges_in_few_calls(monkeypatch):

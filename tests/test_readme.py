@@ -27,3 +27,13 @@ def test_readme_library_sketch_runs():
     assert scope["bs"].p == 2
     assert len(scope["plus"]) == len(scope["minus"]) == 2
     assert len(scope["rep"].records) == 13
+
+
+def test_readme_public_api_is_all():
+    # The names under "Public API" are exactly jacobibands.__all__, so the
+    # API cannot grow or shrink without a change to the README.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([A-Za-z_]\w*)`", section)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(jacobibands.__all__)
