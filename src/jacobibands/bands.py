@@ -1,28 +1,27 @@
 """Band-gap structure as the preimage of [-2, 2] under the discriminant.
 
 The knots are the p - 1 Dirichlet eigenvalues, one in the closure of
-each gap, where the discriminant has a sign known from interlacing; with
-the two ends of the padded Gershgorin interval they cut the line into p
-pieces, each holding exactly one band. On a piece, discriminant - 2 and
-discriminant + 2 change sign exactly once, so solving both per piece
-yields the 2p edges, including touching bands. Each solve is a Newton
-iteration safeguarded by bisection inside that sign bracket, started at
-the Floquet eigenvalue of the edge (`floquet.band_edges_oracle`, called
-once per operator): the k-th solution of discriminant = +/-2 in sorted
-order lies in the k-th piece, doubled solutions included. The
+each gap; with the two ends of the padded Gershgorin interval they cut
+the line into p pieces, each holding exactly one band. Interlacing fixes
+the sign of the discriminant at every knot and at both ends, so the signs
+of discriminant -/+ 2 at the ends of each piece are known without
+evaluating anything there; each changes sign on the piece exactly once.
+Each of the 2p edges is a Newton solve safeguarded by bisection inside
+that bracket, started at the Floquet eigenvalue of the edge
+(`floquet.band_edges_oracle`, called once per operator; a seed outside
+the piece starts at its midpoint): the k-th solution of D = +/-2 in
+sorted order lies in the k-th piece, doubled solutions included. The
 eigenvalues only seed: a wrong one costs steps, never moves an edge, and
-fails the oracle comparison of `ensemble.run_trial`, which reads them off
-the result. A knot whose value sits within evaluation noise of the gap's
-target +/-2 is either a touching point, where the slope is in noise too,
-or the edge of an open gap, which is moved to the gap's critical point.
-At a knot of either kind, one exact rational evaluation arbitrates for
-both neighboring pieces: its sign alone, with no tolerance, tells a
-genuine touch (value on the target or on the band side: both edges snap
-onto the knot, gap length exactly zero) from an open gap, however
-shallow (refined as usual). Edges around narrow open gaps, whose flat
-crossings would otherwise scatter by noise over slope, are re-refined
-exactly as well, each bracketed by the gap's knot. This is the one path
-at every period.
+fails the oracle comparison of `ensemble.run_trial`. A knot whose value
+sits within evaluation noise of the gap's target +/-2 is either a
+touching point, where the slope is in noise too, or the edge of an open
+gap, which is moved to the gap's critical point. At a knot of either
+kind, one exact rational evaluation arbitrates for both neighboring
+pieces: its sign alone, with no tolerance, tells a genuine touch (value
+on the target or on the band side: both edges are the knot, gap length
+exactly zero) from an open gap, however shallow. Edges around narrow open
+gaps, whose flat crossings would otherwise scatter by noise over slope,
+are re-refined exactly as well, each bracketed by the gap's knot.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from fractions import Fraction
 
 from .discriminant import (
     DiscriminantData,
-    eval_discriminant,
     eval_discriminant_and_slope,
     eval_discriminant_bounded,
     eval_discriminant_slope,
@@ -50,6 +48,11 @@ from .floquet import band_edges_oracle
 
 # A gap no longer than this times max(1, s), s the spectrum diameter, is closed.
 DEFAULT_CLOSED_TOL = 1e-9
+
+# Edges match the Floquet eigenvalues to this times max(1, s) in the oracle
+# family of `ensemble.run_trial`; `potential._refine_value_exact` certifies
+# a crossing no farther from an edge than this times max(1, search width).
+ORACLE_MATCH_RTOL = 1e-8
 
 # Edges are solved to this times the width (at least 1) of the search interval.
 _EDGE_RTOL = 1e-12
@@ -141,7 +144,7 @@ def float_root(f, lo, f_lo, hi, f_hi, tol):
     raise NonConvergence(f"root budget exhausted on [{lo}, {hi}]")
 
 
-def _crossing_beyond_resolution(c, x, target):
+def _touches(c, x, target):
     """Exact arbitration at a knot, flat to within noise, whose float value sits in noise.
 
     Evaluates the discriminant minus target exactly. A value at the target
@@ -149,12 +152,10 @@ def _crossing_beyond_resolution(c, x, target):
     eigenvalue or a searched critical point, carries position error
     ~1e-12 at most, which perturbs its value only at order curvature *
     1e-24). A value strictly beyond the target, however slightly, means an
-    open gap. Returns the exact sign of value - target, or None to snap.
+    open gap.
     """
     side = trace_side(scaled_trace_exact(c, x), Fraction(target) * offdiag_product_exact(c))
-    if side == 0 or (side > 0) != (target > 0):
-        return None
-    return 1.0 if target > 0 else -1.0
+    return side == 0 or (side > 0) != (target > 0)
 
 
 def _in_noise(g, err, target):
@@ -163,32 +164,31 @@ def _in_noise(g, err, target):
 
 
 def _gap_knot(c, x, value, err, s, left, right, tol):
-    """Knot of a gap with sign s, from its Dirichlet eigenvalue x.
+    """Knot of a gap with sign s, from its Dirichlet eigenvalue x, and whether it touches.
 
     left and right are the neighbouring Dirichlet eigenvalues (or the ends
-    of the search interval). Returns (knot, residual for target 2s,
-    residual for target -2s). The second residual takes its sign from
-    interlacing, never from the float value. A value clearly beyond 2s
-    keeps the knot. Otherwise x is a touching point, where the slope is in
-    noise as well, or an edge of an open gap, which the solvers of both
-    neighbouring pieces could mistake for their own crossing; the knot
-    then moves to the gap's critical point. A value there within the float
-    evaluation noise of 2s takes its sign from exact arbitration, and a
-    first residual of None means the edges on both sides snap to the knot
-    (touching bands, gap length exactly zero).
+    of the search interval). Returns (knot, touching). A value clearly
+    beyond 2s keeps the knot, and the gap is open. Otherwise x is a
+    touching point, where the slope is in noise as well, or an edge of an
+    open gap, which the solvers of both neighbouring pieces could mistake
+    for their own crossing; the knot then moves to the gap's critical
+    point. A value there within the float evaluation noise of 2s takes
+    exact arbitration (`_touches`); one still short of 2s beyond noise,
+    which the knot check of `build_discriminant` allows by 1e-9, touches.
+    Touching bands share the knot as their edge: gap length exactly zero.
     """
     target = 2.0 * s
     g = value - target
-    if s * g <= 0.0 or _in_noise(g, err, target):
-        _, _, slope, slope_err = eval_discriminant_slope(c, x)
-        if abs(slope) > 4.0 * slope_err:
-            x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
-            value, err = eval_discriminant_bounded(c, x)
-        g = value - target
-        if _in_noise(g, err, target):
-            side = _crossing_beyond_resolution(c, x, target)
-            g = None if side is None else side * max(abs(g), 1e-300)
-    return x, g, s * max(abs(value + target), 1e-300)
+    if s * g > 0.0 and not _in_noise(g, err, target):
+        return x, False
+    _, _, slope, slope_err = eval_discriminant_slope(c, x)
+    if abs(slope) > 4.0 * slope_err:
+        x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
+        value, err = eval_discriminant_bounded(c, x)
+    g = value - target
+    if _in_noise(g, err, target):
+        return x, _touches(c, x, target)
+    return x, s * g < 0.0
 
 
 def _gap_critical_point(c, x, s, slope, stop, tol):
@@ -218,48 +218,22 @@ def _gap_critical_point(c, x, s, slope, stop, tol):
     return lo if f_lo >= 0.0 else hi
 
 
-def _solve_on_piece(c, xl, gl, xr, gr, target, left_is_critical, right_is_critical, seed, tol):
-    """Unique solution of discriminant = target on a piece between knots.
-
-    gl and gr are the knot residuals (`_gap_knot`) at the piece ends; None
-    at an interior knot means the edge is that knot (touching bands). seed
-    is the Floquet eigenvalue of the edge.
-    """
-    if gl is None or gl == 0.0:
-        return xl
-    if gr is None or gr == 0.0:
-        return xr
-    if (gl > 0.0) == (gr > 0.0):
-        # Same sign beyond noise: the crossing exists but sits below float
-        # resolution next to a critical endpoint. Snap to the nearer one.
-        if left_is_critical and (not right_is_critical or abs(gl) <= abs(gr)):
-            return xl
-        if right_is_critical:
-            return xr
-        raise EdgeCountMismatch(
-            f"no sign change for target {target} on [{xl}, {xr}]: residuals ({gl}, {gr})"
-        )
-    return _newton_edge(c, target, xl, gl, xr, gr, seed, tol)
-
-
-def _newton_edge(c, target, lo, f_lo, hi, f_hi, x, tol):
+def _newton_edge(c, target, lo, hi, rising, x, tol):
     """The solution of discriminant = target in [lo, hi], by safeguarded Newton from x.
 
-    f_lo and f_hi carry the signs, which differ, of discriminant - target
-    at lo and hi. The bracket keeps that sign change. A Newton step is
-    taken when it lands strictly inside the bracket and is under half the
-    previous step; otherwise the bracket is bisected (rtsafe; Press et al.,
-    Numerical Recipes, section 9.4). A seed x outside (lo, hi) is replaced
-    by the secant point of the ends. D - target has only real roots r_i,
-    so f'/f = sum 1/(x - r_i), and |f/f'| <= tol puts a root within p * tol
-    of x: then x - f/f', clamped into the bracket, is returned. From a
-    Floquet eigenvalue this takes one evaluation of D and D'.
+    Discriminant - target changes sign once on [lo, hi]: from negative to
+    positive if rising, else the other way. The bracket keeps that sign
+    change. A Newton step is taken when it lands strictly inside the
+    bracket and is under half the previous step; otherwise the bracket is
+    bisected (rtsafe; Press et al., Numerical Recipes, section 9.4). A
+    seed x outside (lo, hi) is replaced by the midpoint. D - target has
+    only real roots r_i, so f'/f = sum 1/(x - r_i), and |f/f'| <= tol puts
+    a root within p * tol of x: then x - f/f', clamped into the bracket,
+    is returned. From a Floquet eigenvalue this takes one evaluation of D
+    and D'.
     """
-    rising = f_hi > 0.0
     if not lo < x < hi:
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi)
     step = hi - lo
     for _ in range(_STEP_BUDGET):
         value, slope = eval_discriminant_and_slope(c, x)
@@ -370,25 +344,23 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     seeds = (lo_bound, *d.knots, hi_bound)
-    v_lo = eval_discriminant(c, lo_bound)
-    v_hi = eval_discriminant(c, hi_bound)
-    knots, plus, minus = [lo_bound], [v_lo - 2.0], [v_lo + 2.0]
+    knots = [(lo_bound, False)]
     for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1):
-        s = gap_sign(p, j)
-        x, near, far = _gap_knot(c, x, value, err, s, seeds[j - 1], seeds[j + 1], tol)
-        knots.append(x)
-        plus.append(near if s > 0.0 else far)
-        minus.append(far if s > 0.0 else near)
-    knots.append(hi_bound)
-    plus.append(v_hi - 2.0)
-    minus.append(v_hi + 2.0)
+        knots.append(_gap_knot(c, x, value, err, gap_sign(p, j), seeds[j - 1], seeds[j + 1], tol))
+    knots.append((hi_bound, False))
     bands: list[Interval] = []
     labels: list[tuple[int, int]] = []
     seed_plus, seed_minus = eigenvalues
     for n in range(p):
-        xl, xr = knots[n], knots[n + 1]
-        e_plus = _solve_on_piece(c, xl, plus[n], xr, plus[n + 1], 2.0, n > 0, n < p - 1, seed_plus[n], tol)
-        e_minus = _solve_on_piece(c, xl, minus[n], xr, minus[n + 1], -2.0, n > 0, n < p - 1, seed_minus[n], tol)
+        # By interlacing D has the sign -up at knot n and up at knot n + 1,
+        # so the edge of target 2 up lies toward knot n + 1.
+        (xl, touch_l), (xr, touch_r) = knots[n], knots[n + 1]
+        up = gap_sign(p, n + 1)
+        rising = up > 0.0
+        seed_up, seed_down = (seed_plus[n], seed_minus[n]) if rising else (seed_minus[n], seed_plus[n])
+        e_up = xr if touch_r else _newton_edge(c, 2.0 * up, xl, xr, rising, seed_up, tol)
+        e_down = xl if touch_l else _newton_edge(c, -2.0 * up, xl, xr, rising, seed_down, tol)
+        e_plus, e_minus = (e_up, e_down) if rising else (e_down, e_up)
         if e_plus <= e_minus:
             bands.append(Interval(e_plus, e_minus))
             labels.append((1, -1))
@@ -400,7 +372,7 @@ def band_structure(d: DiscriminantData) -> BandStructure:
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    bands = _sharpen_flat_gap_edges(c, bands, labels, knots)
+    bands = _sharpen_flat_gap_edges(c, bands, labels, [x for x, _ in knots])
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
     flags = tuple(g.length <= DEFAULT_CLOSED_TOL * max(1.0, span) for g in gaps)

@@ -14,8 +14,8 @@ path where cancellation would otherwise dominate.
 
 Four float evaluators run the product. `eval_discriminant` gives D and
 `eval_discriminant_and_slope` gives D and D' (forward mode); the Newton
-edge solves, the critical-point search, the ends of the search interval
-and the edge values of `potential` call these. `eval_discriminant_bounded`
+edge solves, the critical-point search and the edge values of
+`potential` call these. `eval_discriminant_bounded`
 and `eval_discriminant_slope` repeat the same float operations in the
 same order, so their values are the same bit for bit, and add running
 forward-error bounds. Only the callers that read a bound call them: the
@@ -38,15 +38,19 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import PeriodicCoefficients, ScalarSummary, scalar_summary
-from .errors import PropertyViolation
+from .errors import NonFiniteEntry, PropertyViolation
 from .floquet import tridiagonal_eigenvalues
 
 # unit roundoff with headroom; used by the running error bound
 _U = 2.3e-16
+
+# Range of the log of the off-diagonal product: beyond it the product is not a normal float.
+_LOG_FLOAT_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 # Each end of the search interval lies this fraction of the Gershgorin
 # width beyond it.
@@ -329,8 +333,18 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     At the j-th Dirichlet eigenvalue the discriminant must have the sign
     (-1)^(p-j) and |D| >= 2, each within the float error bound.
 
-    Raises PropertyViolation at the first knot that fails, at every period.
+    Raises NonFiniteEntry when a field of the operator's `scalar_summary`
+    is not finite or the off-diagonal product leaves the normal float
+    range, and PropertyViolation at the first knot that fails, at every
+    period.
     """
+    summary = scalar_summary(c)
+    for name, value in vars(summary).items():
+        if not math.isfinite(value):
+            raise NonFiniteEntry(f"{name} = {value} is beyond the float range")
+    log_product = math.fsum(math.log(x) for x in c.a)
+    if not _LOG_FLOAT_RANGE[0] <= log_product <= _LOG_FLOAT_RANGE[1]:
+        raise NonFiniteEntry(f"off-diagonal product exp({log_product:.6g}) is beyond the float range")
     p = c.p
     knots = dirichlet_eigenvalues(c)
     values = tuple(eval_discriminant_bounded(c, x) for x in knots)
@@ -341,4 +355,4 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
                 f"D({x}) = {value} at Dirichlet eigenvalue {j} of {p - 1}; "
                 f"expected sign {s:+.0f} and |D| >= 2"
             )
-    return DiscriminantData(coeffs=c, summary=scalar_summary(c), knots=knots, knot_values=values)
+    return DiscriminantData(coeffs=c, summary=summary, knots=knots, knot_values=values)

@@ -14,7 +14,9 @@ class NonPositiveOffDiagonal(JacobiBandsError):
 
 
 class NonFiniteEntry(JacobiBandsError):
-    """A coefficient is not a finite number."""
+    """A coefficient, or a scale derived from the coefficients (a Gershgorin
+    end, the diagonal spread, the off-diagonal product), is not a finite
+    number."""
 
 
 class NonConvergence(JacobiBandsError):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bands import BandStructure, Interval
+from .bands import ORACLE_MATCH_RTOL, BandStructure, Interval
 from .coefficients import offdiag_product
 from .discriminant import (
     DiscriminantData,
@@ -45,11 +45,6 @@ from .errors import AlternationFailure, CapacityMismatch
 # bound certifies a crossing of +/-2 next to the edge, and exact arithmetic
 # runs only where that bound cannot decide.
 _EXACT_REFINE_TRIGGER = 1e-10
-
-# The certificate of `_refine_value_exact` looks for a crossing no farther
-# from the edge than this fraction of the search interval, the tolerance of
-# the oracle comparison of `ensemble.run_trial`.
-_CERTIFY_RADIUS = 1e-8
 
 _CAPACITY_RTOL = 1e-9
 
@@ -109,13 +104,13 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     they differ by more than the bound. Only a step where the bound cannot
     decide an end takes the exact signs of both ends instead. Sides that
     differ, by either test, return |target|. The bracket widens until the
-    signs differ, but h not past `_CERTIFY_RADIUS` of the search interval:
+    signs differ, but h not past `ORACLE_MATCH_RTOL` of the search interval:
     a crossing farther away belongs to another edge. Without one (a
     touching edge, or a wrong one) the float value at x is returned.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
-    h_max = _CERTIFY_RADIUS * max(1.0, hi_bound - lo_bound)
+    h_max = ORACLE_MATCH_RTOL * max(1.0, hi_bound - lo_bound)
     h = max(1e-13 * max(1.0, abs(x)), 1e-15)
     while h <= h_max:
         lo, hi = x - h, x + h

@@ -139,7 +139,7 @@ def count_float_calls(monkeypatch, module):
 
     Counted are eval_discriminant, eval_discriminant_and_slope,
     eval_discriminant_bounded and eval_discriminant_slope, each where
-    module binds it.
+    module binds it; names it does not bind are skipped.
     """
     calls = [0]
     for name in (
@@ -148,7 +148,9 @@ def count_float_calls(monkeypatch, module):
         "eval_discriminant_bounded",
         "eval_discriminant_slope",
     ):
-        inner = getattr(module, name)
+        inner = getattr(module, name, None)
+        if inner is None:
+            continue
 
         def counted(*args, inner=inner):
             calls[0] += 1

@@ -232,33 +232,43 @@ def sine_operator(p):
     return new_periodic([1.0] * p, [0.1 * math.sin(2.0 * math.pi * k / p) for k in range(p)])
 
 
-def test_long_period_uses_oracle_automatically(monkeypatch):
+def test_each_edge_is_one_newton_solve_or_a_touching_knot(monkeypatch):
     # One Floquet call per trial at every period: band_structure seeds its
     # edge solves with it and run_trial compares the edges against it. No
-    # second path: each of the 2p edges is solved on a Dirichlet piece.
-    calls, pieces = [], [0]
+    # second path: each of the 2p edges is one Newton solve on a Dirichlet
+    # piece, or a touching knot, which is the edge of both its pieces.
+    calls, solves, touching = [], [0], [0]
     inner = bands_mod.band_edges_oracle
-    inner_piece = bands_mod._solve_on_piece
+    inner_solve = bands_mod._newton_edge
+    inner_knot = bands_mod._gap_knot
 
     def counted(c):
         calls.append(c)
         return inner(c)
 
-    def piece(*args):
-        pieces[0] += 1
-        return inner_piece(*args)
+    def solve(*args):
+        solves[0] += 1
+        return inner_solve(*args)
+
+    def knot(*args):
+        x, touches = inner_knot(*args)
+        touching[0] += touches
+        return x, touches
 
     monkeypatch.setattr(bands_mod, "band_edges_oracle", counted)
     monkeypatch.setattr(ensemble_mod, "band_edges_oracle", counted)
-    monkeypatch.setattr(bands_mod, "_solve_on_piece", piece)
+    monkeypatch.setattr(bands_mod, "_newton_edge", solve)
+    monkeypatch.setattr(bands_mod, "_gap_knot", knot)
     for p in (8, 32):
         calls.clear()
-        pieces[0] = 0
+        solves[0] = touching[0] = 0
         c = sine_operator(p)
         t = run_trial(c)
         assert t.all_passed, (p, {n: r.detail for n, r in t.families.items() if not r.passed})
         assert calls == [c]
-        assert pieces[0] == 2 * p
+        assert solves[0] + 2 * touching[0] == 2 * p
+        if p == 8:
+            assert touching[0] == 1
         bs = t.band_structure
         assert bs.p == p
         assert bs.total_band_measure <= 4.0 + 1e-9
@@ -368,8 +378,8 @@ def test_float_edge_refinement_budget(monkeypatch):
     # Every float evaluation of D in bands, per edge: bisection to the 1e-12
     # tolerance took about 38, Illinois regula falsi plus a secant polish
     # about 12.5. Newton from the Floquet eigenvalue takes one per solved
-    # edge; the two ends of the search interval and the knots moved to a
-    # critical point bring the total to about 1.2.
+    # edge, 1.0 in all on these 300; evaluating D at the two ends of the
+    # search interval as well made it about 1.17.
     calls = count_float_calls(monkeypatch, bands_mod)
     edges = 0
     for k in range(300):

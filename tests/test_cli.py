@@ -75,6 +75,15 @@ def test_huge_integer_entry_is_a_clean_error(tmp_path, capsys, digits):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, b", [([1e308, 1e308], [0, 0]), ([1e200, 1e200], [0, 0]),
+                                  ([1, 1], [1e308, -1e308]), ([1e-200, 1e-200], [0, 0])])
+def test_scales_beyond_the_float_range_are_a_clean_error(tmp_path, capsys, a, b):
+    op = write_operator(tmp_path, a, b)
+    assert main(["analyze", str(op)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beyond the float range" in err
+
+
 _SEED3_P7 = sample_operator(EnsembleConfig(seed=3, p_min=7, p_max=7), 0)
 
 # Operator (a, b), then the sha256 of the --report JSON, of stdout (with

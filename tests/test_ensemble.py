@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from jacobibands import AlternationFailure, CapacityMismatch, ConfigInvalid, ensemble, new_periodic
+from jacobibands import (
+    AlternationFailure,
+    CapacityMismatch,
+    ConfigInvalid,
+    NonFiniteEntry,
+    build_discriminant,
+    ensemble,
+    new_periodic,
+)
 from jacobibands.bounds import CONDITIONAL_NAMES, UNCONDITIONAL_NAMES
 from jacobibands.ensemble import (
     EnsembleConfig,
@@ -16,10 +24,11 @@ from jacobibands.ensemble import (
     run_ensemble,
     run_trial,
     sample_operator,
+    trial_to_jsonable,
     validate_config,
 )
 
-from conftest import numpy_edges
+from conftest import blocks, numpy_edges
 
 
 def test_sampling_is_deterministic():
@@ -181,6 +190,38 @@ def test_seed42_report_bytes_are_pinned():
     text = json.dumps(ensemble_to_jsonable(res), sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "fbbb2614e54f63f1712059f4415fc777cf0f445499ada8ef6d62f89714a81c00"
+
+
+def test_touching_report_bytes_are_pinned():
+    # Repeated blocks close most gaps, so these reports run through the
+    # touching knots and the exact arbitration the seed-42 pin never reaches.
+    ops = [blocks(0, k, q_lo=3) for k in range(300)] + [blocks(1, k) for k in range(200)]
+    digest = hashlib.sha256()
+    for a, b in ops:
+        text = json.dumps(trial_to_jsonable(run_trial(new_periodic(a, b))), sort_keys=True)
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == "6f84ac01f4159c5e7d0f5d20de5f93c2917ca317a3096f6c6ce81152ea8db866"
+
+
+# Operators whose derived scales leave the float range: a Gershgorin end,
+# the diagonal spread, and an off-diagonal product that overflows or
+# underflows. Each raised an untyped error out of run_trial.
+BEYOND_FLOAT_RANGE = [
+    ([1e308, 1e308], [0.0, 0.0], "gershgorin_lo"),
+    ([1e200, 1e200], [0.0, 0.0], "off-diagonal product"),
+    ([1.0, 1.0], [1e308, -1e308], "diag_spread"),
+    ([1e-200, 1e-200], [0.0, 0.0], "off-diagonal product"),
+]
+
+
+@pytest.mark.parametrize("a, b, quantity", BEYOND_FLOAT_RANGE)
+def test_scales_beyond_the_float_range_fail_the_discriminant(a, b, quantity):
+    t = run_trial(new_periodic(a, b))
+    assert not t.families["discriminant"].passed
+    assert quantity in t.families["discriminant"].detail
+    assert all(r.detail.startswith("skipped") for n, r in t.families.items() if n != "discriminant")
+    with pytest.raises(NonFiniteEntry, match=quantity):
+        build_discriminant(new_periodic(a, b))
 
 
 def test_ensemble_aggregation_counts():
