@@ -43,20 +43,12 @@ from .errors import (
     PropertyViolation,
 )
 from .floquet import band_edges_oracle
-from .potential import (
-    AlternationData,
-    AlternationPoint,
-    PotentialReport,
-    capacity_interval,
-    potential_report,
-)
+from .potential import PotentialReport, potential_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternationData",
     "AlternationFailure",
-    "AlternationPoint",
     "BandStructure",
     "BoundRecord",
     "BoundsReport",
@@ -81,7 +73,6 @@ __all__ = [
     "band_structure",
     "bands_to_csv",
     "build_discriminant",
-    "capacity_interval",
     "eval_discriminant_exact",
     "evaluate_all_bounds",
     "load_operator",

@@ -334,9 +334,9 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     (-1)^(p-j) and |D| >= 2, each within the float error bound.
 
     Raises NonFiniteEntry when a field of the operator's `scalar_summary`
-    is not finite or the off-diagonal product leaves the normal float
-    range, and PropertyViolation at the first knot that fails, at every
-    period.
+    is not finite, the off-diagonal product leaves the normal float range,
+    or a knot's value or error bound is not finite, and PropertyViolation
+    at the first knot that fails, at every period.
     """
     summary = scalar_summary(c)
     for name, value in vars(summary).items():
@@ -349,6 +349,11 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     knots = dirichlet_eigenvalues(c)
     values = tuple(eval_discriminant_bounded(c, x) for x in knots)
     for j, (x, (value, err)) in enumerate(zip(knots, values), start=1):
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise NonFiniteEntry(
+                f"D({x}) = {value} (error bound {err}) at Dirichlet eigenvalue {j} of {p - 1} "
+                "is beyond the float range"
+            )
         s = gap_sign(p, j)
         if s * value < 2.0 - (1e-9 + 4.0 * err):
             raise PropertyViolation(

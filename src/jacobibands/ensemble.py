@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
@@ -97,7 +96,6 @@ class TrialReport:
     bounds: bounds_mod.BoundsReport | None = None
     oracle_max_discrepancy: float = math.nan
     capacity_rel_error: float = math.nan
-    wall_time_s: float = 0.0
 
     @property
     def all_passed(self) -> bool:
@@ -111,7 +109,6 @@ def _skip_remaining(report: TrialReport, start: int, reason: str) -> None:
 
 def run_trial(c: PeriodicCoefficients) -> TrialReport:
     """Full pipeline on one operator; every failure lands in the report."""
-    start = time.perf_counter()
     report = TrialReport(index=-1, coefficients=c)
 
     try:
@@ -120,7 +117,6 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
     except JacobiBandsError as exc:
         report.families["discriminant"] = FamilyResult(False, str(exc))
         _skip_remaining(report, 1, "discriminant failed")
-        report.wall_time_s = time.perf_counter() - start
         return report
 
     try:
@@ -130,7 +126,6 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
     except JacobiBandsError as exc:
         report.families["bands"] = FamilyResult(False, str(exc))
         _skip_remaining(report, 2, "band extraction failed")
-        report.wall_time_s = time.perf_counter() - start
         return report
 
     disc_edges = sorted(bs.edges)
@@ -187,7 +182,6 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
         report.families["bounds_unconditional"] = FamilyResult(False, str(exc))
         report.families["bounds_conditional"] = FamilyResult(False, str(exc))
 
-    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -239,8 +233,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleResult:
 
 
 def trial_to_jsonable(t: TrialReport) -> dict:
-    """Serializable trial record. Wall time is omitted on purpose: reports
-    must be byte-identical across runs of the same configuration."""
+    """Serializable trial record, byte-identical across runs of the same
+    configuration: it holds no timing."""
     out = {
         "index": t.index,
         "operator": {"a": list(t.coefficients.a), "b": list(t.coefficients.b), "p": t.coefficients.p},

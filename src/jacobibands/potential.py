@@ -2,23 +2,22 @@
 
 The scaled discriminant (off-diagonal product times the discriminant) is
 the monic minimax polynomial of the spectrum, so its sup norm over the
-bands, the alternating set of its extrema, and the per-band equilibrium
-weights are all computable from band data in closed form.
-`potential_report` evaluates them in one record and checks what can
-fail:
+bands and the per-band equilibrium weights are computable from band data
+in closed form, and its extremal set is the band edges with their labels.
+`potential_report` walks the edges once, returns five numbers and checks
+what can fail:
 
-  capacity of an interval   = length / 4
   minimax norm              = 2 * (off-diagonal product)
   capacity of the spectrum  = geometric mean of the off-diagonal entries
                               (CapacityMismatch beyond 1e-9 relative)
   minimax norm / capacity^p = 2
   the float sign of D at each extremum, the rightmost sign +, and an
   alternating run of p + 1 extrema (AlternationFailure otherwise)
-  weight of maximal piece j = (extreme points on it - 1) / p
+  weight of maximal piece j = (bands in it) / p
 
-The extreme points number p + l, l the number of maximal intervals, and
-the weights sum to 1 by construction: every gap, open or closed, adds
-one point beyond the band's first.
+The extreme points number p + l, l the number of maximal intervals. The
+extremal set itself is checked, not returned: it is read off
+`BandStructure.bands`, `edge_labels` and `closed_gap_flags`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bands import ORACLE_MATCH_RTOL, BandStructure, Interval
+from .bands import ORACLE_MATCH_RTOL, BandStructure
 from .coefficients import offdiag_product
 from .discriminant import (
     DiscriminantData,
@@ -50,28 +49,10 @@ _CAPACITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class AlternationPoint:
-    """Extremum of the scaled discriminant with the sign it attains there."""
-
-    x: float
-    sign: int
-
-
-@dataclass(frozen=True)
-class AlternationData:
-    points: tuple[AlternationPoint, ...]
-    extreme_point_count: int
-    maximal_intervals: tuple[Interval, ...]
-    points_per_interval: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PotentialReport:
     cap_spectrum: float
-    cap_bands: tuple[float, ...]
     cheb_number: float
     widom_factor: float
-    alternation: AlternationData
     band_measures: tuple[Fraction, ...]
     extreme_point_count: int
 
@@ -85,13 +66,6 @@ def potential_to_jsonable(pot: PotentialReport) -> dict:
         "extreme_point_count": pot.extreme_point_count,
         "band_measures": [str(m) for m in pot.band_measures],
     }
-
-
-def capacity_interval(iv: Interval) -> float:
-    """Logarithmic capacity of a real interval: one fourth of its length."""
-    if iv.length < 0.0:
-        raise ValueError(f"interval has negative length: {iv}")
-    return iv.length / 4.0
 
 
 def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
@@ -128,103 +102,69 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     return abs(eval_discriminant(c, x))
 
 
-def _chebyshev_number(d: DiscriminantData, bs: BandStructure, evals) -> float:
-    """Sup of |scaled discriminant| over the spectrum.
-
-    The sup of a polynomial over a union of intervals sits at an endpoint
-    or an interior critical point; interior critical points of the bands
-    are exactly the touch points, which are already edges, so the edge
-    set is the full candidate set. evals maps each edge to its float D;
-    edges where |D| strays from 2 are refined exactly.
-    """
-    values = []
-    for band, (lab_lo, lab_hi) in zip(bs.bands, bs.edge_labels):
-        for x, lab in ((band.lo, lab_lo), (band.hi, lab_hi)):
-            v = evals[x]
-            if abs(abs(v) - 2.0) > _EXACT_REFINE_TRIGGER:
-                values.append(_refine_value_exact(d, x, 2 * lab))
-            else:
-                values.append(abs(v))
-    return offdiag_product(d.coeffs) * max(values)
-
-
-def _alternation_set(d: DiscriminantData, bs: BandStructure, evals) -> AlternationData:
-    """Extremal set of the scaled discriminant with alternation checks.
-
-    The distinct extreme points are the band edges, shared at closed gaps.
-    Verifies the float sign at each point, the sign + at the rightmost one
-    and an alternating subsequence of length p + 1.
-    """
-    p = bs.p
-    points: list[AlternationPoint] = []
-    pieces: list[list[Interval]] = [[bs.bands[0]]]
-    counts: list[int] = [2]
-    points.append(AlternationPoint(bs.bands[0].lo, bs.edge_labels[0][0]))
-    points.append(AlternationPoint(bs.bands[0].hi, bs.edge_labels[0][1]))
-    for n in range(1, p):
-        band = bs.bands[n]
-        lab_lo, lab_hi = bs.edge_labels[n]
-        if bs.closed_gap_flags[n - 1]:
-            # band.lo coincides with the previous band.hi: one shared point
-            pieces[-1].append(band)
-            counts[-1] += 1
-        else:
-            pieces.append([band])
-            counts.append(2)
-            points.append(AlternationPoint(band.lo, lab_lo))
-        points.append(AlternationPoint(band.hi, lab_hi))
-
-    for pt in points:
-        value = evals[pt.x]
-        if value * pt.sign <= 0.0:
-            _, err = eval_discriminant_bounded(d.coeffs, pt.x)
-            raise AlternationFailure(
-                f"sign of discriminant at extremum {pt.x} is {math.copysign(1, value):+.0f}, "
-                f"expected {pt.sign:+d} (value {value}, error bound {err})"
-            )
-
-    if points[-1].sign != 1:
-        raise AlternationFailure("rightmost extremum must attain the positive sup")
-    flips = sum(1 for i in range(len(points) - 1) if points[i].sign != points[i + 1].sign)
-    if flips + 1 < p + 1:
-        raise AlternationFailure(
-            f"longest alternating subsequence has {flips + 1} points, need {p + 1}"
-        )
-    return AlternationData(
-        points=tuple(points),
-        extreme_point_count=len(points),
-        maximal_intervals=tuple(Interval(group[0].lo, group[-1].hi) for group in pieces),
-        points_per_interval=tuple(counts),
-    )
-
-
 def potential_report(d: DiscriminantData, bs: BandStructure) -> PotentialReport:
     """All potential-theoretic quantities of one operator in one record.
 
-    Each distinct edge is evaluated once, for the sup and the alternation
-    signs. Raises CapacityMismatch when (cheb/2)^(1/p) strays from the
-    geometric mean of the off-diagonal entries by more than 1e-9 relative,
-    and AlternationFailure when an alternation check fails. Maximal
-    interval j with k_j extreme points weighs (k_j - 1) / p.
+    One pass over the band edges. The sup of a polynomial over a union of
+    intervals sits at an endpoint or an interior critical point; interior
+    critical points of the bands are the touch points, which are already
+    edges, so the sup runs over all 2p (edge, label) pairs, shared edges
+    twice. Each distinct edge is evaluated once, and one where |D| strays
+    from 2 is refined exactly. The extreme points are the distinct edges:
+    band n's lower edge is skipped where gap n - 1 is closed.
+
+    Raises CapacityMismatch when (cheb/2)^(1/p) strays from the geometric
+    mean of the off-diagonal entries by more than 1e-9 relative; then
+    AlternationFailure when the float sign of D at an extreme point is not
+    its label, the rightmost label is not +, or the labels alternate fewer
+    than p + 1 times. Maximal interval j made of n_j bands weighs n_j / p.
     """
+    c = d.coeffs
     evals: dict[float, float] = {}
-    for x in bs.edges:
-        if x not in evals:
-            evals[x] = eval_discriminant(d.coeffs, x)
-    cheb = _chebyshev_number(d, bs, evals)
+    values: list[float] = []
+    points: list[tuple[float, int]] = []
+    bands_per_piece: list[int] = []
+    for n, (band, (lab_lo, lab_hi)) in enumerate(zip(bs.bands, bs.edge_labels)):
+        for x, label in ((band.lo, lab_lo), (band.hi, lab_hi)):
+            if x not in evals:
+                evals[x] = eval_discriminant(c, x)
+            v = abs(evals[x])
+            values.append(_refine_value_exact(d, x, 2 * label) if abs(v - 2.0) > _EXACT_REFINE_TRIGGER else v)
+        if n > 0 and bs.closed_gap_flags[n - 1]:
+            # gap n - 1 is closed: band.lo is the previous band.hi, one extreme point
+            bands_per_piece[-1] += 1
+        else:
+            bands_per_piece.append(1)
+            points.append((band.lo, lab_lo))
+        points.append((band.hi, lab_hi))
+
+    cheb = offdiag_product(c) * max(values)
     cap = math.exp((math.log(cheb) - math.log(2.0)) / d.p)
     geo = d.summary.geom_mean_a
     if abs(cap - geo) > _CAPACITY_RTOL * geo:
         raise CapacityMismatch(
             f"capacity {cap} vs geometric mean {geo}: relative gap {abs(cap - geo) / geo:.3e}"
         )
-    alt = _alternation_set(d, bs, evals)
+
+    for x, sign in points:
+        value = evals[x]
+        if value * sign <= 0.0:
+            _, err = eval_discriminant_bounded(c, x)
+            raise AlternationFailure(
+                f"sign of discriminant at extremum {x} is {math.copysign(1, value):+.0f}, "
+                f"expected {sign:+d} (value {value}, error bound {err})"
+            )
+    if points[-1][1] != 1:
+        raise AlternationFailure("rightmost extremum must attain the positive sup")
+    flips = sum(1 for (_, s), (_, t) in zip(points, points[1:]) if s != t)
+    if flips + 1 < bs.p + 1:
+        raise AlternationFailure(
+            f"longest alternating subsequence has {flips + 1} points, need {bs.p + 1}"
+        )
     return PotentialReport(
         cap_spectrum=cap,
-        cap_bands=tuple(capacity_interval(b) for b in bs.bands),
         cheb_number=cheb,
         widom_factor=cheb / math.exp(bs.p * math.log(cap)),
-        alternation=alt,
-        band_measures=tuple(Fraction(k - 1, bs.p) for k in alt.points_per_interval),
-        extreme_point_count=alt.extreme_point_count,
+        band_measures=tuple(Fraction(k, bs.p) for k in bands_per_piece),
+        extreme_point_count=len(points),
     )

@@ -76,7 +76,8 @@ def test_huge_integer_entry_is_a_clean_error(tmp_path, capsys, digits):
 
 
 @pytest.mark.parametrize("a, b", [([1e308, 1e308], [0, 0]), ([1e200, 1e200], [0, 0]),
-                                  ([1, 1], [1e308, -1e308]), ([1e-200, 1e-200], [0, 0])])
+                                  ([1, 1], [1e308, -1e308]), ([1e-200, 1e-200], [0, 0]),
+                                  ([1e300, 1e-300], [0, 0])])
 def test_scales_beyond_the_float_range_are_a_clean_error(tmp_path, capsys, a, b):
     op = write_operator(tmp_path, a, b)
     assert main(["analyze", str(op)]) == 2

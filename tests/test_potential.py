@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from jacobibands import (
+    AlternationFailure,
     CapacityMismatch,
     band_structure,
     build_discriminant,
-    capacity_interval,
     new_periodic,
     potential_report,
 )
@@ -32,14 +32,6 @@ def report(c):
     return potential_report(*pipeline(c))
 
 
-def test_capacity_interval_quarter_length():
-    assert capacity_interval(Interval(-2.0, 2.0)) == 1.0
-    assert capacity_interval(Interval(0.0, 0.0)) == 0.0
-    assert capacity_interval(Interval(2.0, 1.0 + SQRT5)) == pytest.approx(
-        (SQRT5 - 1.0) / 4.0, abs=1e-12
-    )
-
-
 def test_chebyshev_number_period2():
     assert report(period2_operator()).cheb_number == pytest.approx(2.0, rel=1e-10)
 
@@ -61,27 +53,60 @@ def test_spectrum_capacity_examples():
 
 
 def test_alternation_period2():
-    alt = report(period2_operator()).alternation
-    xs = [pt.x for pt in alt.points]
-    signs = [pt.sign for pt in alt.points]
-    assert xs == pytest.approx([1.0 - SQRT5, 0.0, 2.0, 1.0 + SQRT5], abs=1e-10)
-    assert signs == [1, -1, -1, 1]
-    assert alt.extreme_point_count == 4  # p + l = 2 + 2
-    assert len(alt.maximal_intervals) == 2
+    d, bs = pipeline(period2_operator())
+    rep = potential_report(d, bs)
+    assert bs.edges == pytest.approx([1.0 - SQRT5, 0.0, 2.0, 1.0 + SQRT5], abs=1e-10)
+    assert bs.edge_labels == ((1, -1), (-1, 1))
+    assert rep.extreme_point_count == 4  # p + l = 2 + 2
+    assert len(rep.band_measures) == 2
 
 
 def test_alternation_free_period2():
-    alt = report(free_operator(2)).alternation
-    assert [pt.sign for pt in alt.points] == [1, -1, 1]
-    assert [pt.x for pt in alt.points] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-10)
-    assert alt.extreme_point_count == 3  # p + l = 2 + 1
+    d, bs = pipeline(free_operator(2))
+    rep = potential_report(d, bs)
+    assert bs.edges == pytest.approx([-2.0, 0.0, 0.0, 2.0], abs=1e-10)
+    assert bs.edge_labels == ((1, -1), (-1, 1))
+    assert rep.extreme_point_count == 3  # p + l = 2 + 1
+    assert rep.band_measures == (Fraction(1, 1),)
 
 
 def test_alternation_single_band():
-    alt = report(new_periodic([1.0], [5.0])).alternation
-    assert [pt.x for pt in alt.points] == pytest.approx([3.0, 7.0], abs=1e-10)
-    assert [pt.sign for pt in alt.points] == [-1, 1]
-    assert alt.extreme_point_count == 2  # p + l = 1 + 1
+    d, bs = pipeline(new_periodic([1.0], [5.0]))
+    rep = potential_report(d, bs)
+    assert bs.edges == pytest.approx([3.0, 7.0], abs=1e-10)
+    assert bs.edge_labels == ((-1, 1),)
+    assert rep.extreme_point_count == 2  # p + l = 1 + 1
+
+
+def test_alternation_fails_on_a_swapped_sign():
+    d, bs = pipeline(period2_operator())
+    labels = ((-1, 1), bs.edge_labels[1])
+    with pytest.raises(AlternationFailure, match="sign of discriminant at extremum"):
+        potential_report(d, dataclasses.replace(bs, edge_labels=labels))
+
+
+def test_alternation_fails_without_a_positive_rightmost_extremum():
+    # The last band reversed, labels swapped with it: every float sign still
+    # matches its label, and the rightmost extremum carries -.
+    d, bs = pipeline(period2_operator())
+    last = bs.bands[-1]
+    bands = (bs.bands[0], Interval(last.hi, last.lo))
+    labels = (bs.edge_labels[0], bs.edge_labels[1][::-1])
+    with pytest.raises(AlternationFailure, match="rightmost extremum must attain the positive sup"):
+        potential_report(d, dataclasses.replace(bs, bands=bands, edge_labels=labels))
+
+
+def test_alternation_fails_on_a_short_alternating_run():
+    # Band 1 of the free p = 3 operator collapsed onto its lower edge, where
+    # D = +2, and labelled (-, +): the shared point before it and its upper
+    # point both carry +, and band 2's lower edge is shared too, so the
+    # labels read -, +, +, + and the run drops from 4 to 2 points.
+    d, bs = pipeline(free_operator(3))
+    x = bs.bands[1].lo
+    bands = (bs.bands[0], Interval(x, x), bs.bands[2])
+    labels = (bs.edge_labels[0], (-1, 1), bs.edge_labels[2])
+    with pytest.raises(AlternationFailure, match="longest alternating subsequence has 2 points, need 4"):
+        potential_report(d, dataclasses.replace(bs, bands=bands, edge_labels=labels))
 
 
 def test_equilibrium_measures_open_gaps():
@@ -105,7 +130,7 @@ def test_mixed_touching_counts():
     assert bs.bands[0].hi == pytest.approx(-math.sqrt(5.0), abs=1e-10)
     assert bs.bands[1].hi == pytest.approx(-1.0, abs=1e-10)
     rep = potential_report(d, bs)
-    assert rep.alternation.extreme_point_count == 4 + 2
+    assert rep.extreme_point_count == 4 + 2
     assert rep.band_measures == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -123,7 +148,7 @@ def test_capacity_monotonicity_sandwich():
     for k in range(cfg.trials):
         d, bs = pipeline(sample_operator(cfg, k))
         cap = potential_report(d, bs).cap_spectrum
-        assert max(capacity_interval(b) for b in bs.bands) <= cap * (1 + 1e-9)
+        assert max(b.length / 4.0 for b in bs.bands) <= cap * (1 + 1e-9)
         assert cap <= bs.s / 4.0 * (1 + 1e-9)
 
 
@@ -139,9 +164,6 @@ def test_report_bundles_everything():
     assert rep.cap_spectrum == pytest.approx(1.0, rel=1e-10)
     assert rep.cheb_number == pytest.approx(2.0, rel=1e-10)
     assert rep.widom_factor == pytest.approx(2.0, rel=1e-12)
-    assert rep.cap_bands == pytest.approx(
-        ((SQRT5 - 1.0) / 4.0, (SQRT5 - 1.0) / 4.0), abs=1e-11
-    )
     assert sum(rep.band_measures) == 1
 
 

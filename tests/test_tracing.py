@@ -1,5 +1,6 @@
 """Package globals: the benchmark's tracer rebinds them by name, so each must
-exist, and no module imports one it never reads beyond those."""
+exist, and no module imports one it never reads beyond those. Package data:
+every dataclass field is read somewhere."""
 
 import ast
 import importlib
@@ -55,3 +56,33 @@ def test_no_module_imports_a_name_it_never_reads():
             if name not in read | exported and (module, name) not in traced
         ]
     assert not unused
+
+
+def _is_dataclass(cls):
+    return any(
+        getattr(dec, "id", None) == "dataclass" or getattr(getattr(dec, "func", None), "id", None) == "dataclass"
+        for dec in cls.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    # Each field of a dataclass of the package must be read as an attribute
+    # somewhere in the package or the benchmark; one that is not is data
+    # nobody reads.
+    package = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    benchmark = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TRACING.parent.glob("*.py"))]
+    read = {
+        n.attr
+        for tree in package + benchmark
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.name}.{stmt.target.id}"
+        for tree in package
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.target.id not in read
+    ]
+    assert not unread
