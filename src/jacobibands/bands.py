@@ -19,24 +19,25 @@ gap, which is moved to the gap's critical point. At a knot of either
 kind, one exact rational evaluation arbitrates for both neighboring
 pieces: its sign alone, with no tolerance, tells a genuine touch (value
 on the target or on the band side: both edges are the knot, gap length
-exactly zero) from an open gap, however shallow. Edges around narrow open
-gaps, whose flat crossings would otherwise scatter by noise over slope,
-are re-refined exactly as well, each bracketed by the gap's knot.
+exactly zero) from an open gap, however shallow. The two edges around a
+narrow open gap, whose flat crossings scatter by noise over slope in
+floats, are solved once more by the same Newton routine on their pieces,
+seeded at the float edges, with D - target evaluated exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .discriminant import (
     DiscriminantData,
     eval_discriminant_and_slope,
     eval_discriminant_bounded,
     eval_discriminant_slope,
-    exact_root,
     gap_sign,
     offdiag_product_exact,
     scaled_trace_exact,
@@ -69,12 +70,14 @@ _STEP_BUDGET = 300
 
 @dataclass(frozen=True)
 class Interval:
+    """[lo, hi], with its length hi - lo computed once, at construction."""
+
     lo: float
     hi: float
+    length: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
+    def __post_init__(self):
+        object.__setattr__(self, "length", self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -218,26 +221,25 @@ def _gap_critical_point(c, x, s, slope, stop, tol):
     return lo if f_lo >= 0.0 else hi
 
 
-def _newton_edge(c, target, lo, hi, rising, x, tol):
-    """The solution of discriminant = target in [lo, hi], by safeguarded Newton from x.
+def _newton_edge(residual, lo, hi, rising, x, tol):
+    """The root in [lo, hi] of residual, by safeguarded Newton from x.
 
-    Discriminant - target changes sign once on [lo, hi]: from negative to
-    positive if rising, else the other way. The bracket keeps that sign
-    change. A Newton step is taken when it lands strictly inside the
-    bracket and is under half the previous step; otherwise the bracket is
-    bisected (rtsafe; Press et al., Numerical Recipes, section 9.4). A
-    seed x outside (lo, hi) is replaced by the midpoint. D - target has
-    only real roots r_i, so f'/f = sum 1/(x - r_i), and |f/f'| <= tol puts
-    a root within p * tol of x: then x - f/f', clamped into the bracket,
-    is returned. From a Floquet eigenvalue this takes one evaluation of D
-    and D'.
+    residual(t) returns (D(t) - target, D'(t)), and D - target changes
+    sign once on [lo, hi]: from negative to positive if rising, else the
+    other way. The bracket keeps that sign change. A Newton step is taken
+    when it lands strictly inside the bracket and is under half the
+    previous step; otherwise the bracket is bisected (rtsafe; Press et
+    al., Numerical Recipes, section 9.4). A seed x outside (lo, hi) is
+    replaced by the midpoint. D - target has only real roots r_i, so
+    f'/f = sum 1/(x - r_i), and |f/f'| <= tol puts a root within p * tol
+    of x: then x - f/f', clamped into the bracket, is returned. From a
+    Floquet eigenvalue this takes one evaluation of the residual.
     """
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
     step = hi - lo
     for _ in range(_STEP_BUDGET):
-        value, slope = eval_discriminant_and_slope(c, x)
-        f = value - target
+        f, slope = residual(x)
         if f == 0.0:
             return x
         if (f > 0.0) == rising:
@@ -257,61 +259,60 @@ def _newton_edge(c, target, lo, hi, rising, x, tol):
     raise NonConvergence(f"edge budget exhausted on [{lo}, {hi}]")
 
 
+def _float_residual(c, target, x):
+    """Residual of `_newton_edge`: D(x) - target and D'(x) in floats, without error bounds."""
+    value, slope = eval_discriminant_and_slope(c, x)
+    return value - target, slope
+
+
+def _exact_residual(c, target, x):
+    """Residual of `_newton_edge`: D(x) - target exact and rounded to a float once, D'(x) in floats.
+
+    target is the int 2 or -2. The exact trace n / d of
+    `scaled_trace_exact` over the exact off-diagonal product is D, so
+    D - target is one quotient of integers, which int division rounds
+    correctly, with no gcd. A quotient beyond the float range is +/-inf,
+    as the float evaluator would give.
+    """
+    product = offdiag_product_exact(c)
+    n, d = scaled_trace_exact(c, x)
+    top = n * product.denominator - target * d * product.numerator
+    try:
+        f = top / (d * product.numerator)
+    except OverflowError:
+        f = math.inf if top > 0 else -math.inf
+    return f, eval_discriminant_and_slope(c, x)[1]
+
+
 # Open gaps narrower than this fraction of the spectrum carry flat
 # crossings whose float edges scatter by eval-noise / slope; those edges
-# get re-refined with exact arithmetic.
+# are solved again on the exact residual.
 _FLAT_GAP_TRIGGER = 1e-4
 
 
-def _exact_edge_position(c, x, target, inner, span):
-    """Edge position, exact to 1e-13 relative, between the band and the gap.
+def _sharpen_flat_gap_edges(c, bands, labels, knots, tol):
+    """Re-solve the two edges around every narrow open gap on the exact residual.
 
-    inner is the gap's knot, where the discriminant reaches or passes the
-    target; the outer bracket end is stepped from x into the band, by
-    multiples of span (negative for a band below the gap), until the exact
-    signs straddle. Falls back to x if no bracket forms.
+    Each edge is solved again by `_newton_edge` on its own piece (knots n
+    and n + 1 for band n), seeded at its float edge, with D - target exact
+    (`_exact_residual`). The gap's knot bounds both pieces, so the two
+    edges stay on its two sides even where the true gap is narrower than
+    the float edges' scatter. Raises EdgeCountMismatch when a sharpened
+    edge crosses the other edge of its band: the float edge it passed is
+    then wrong by more than the band is long.
     """
-    tgt = Fraction(target) * offdiag_product_exact(c)
-    s_inner = scaled_trace_exact(c, inner)
-    side_inner = trace_side(s_inner, tgt)
-    if side_inner == 0:
-        return inner
-    if (side_inner > 0) != (target > 0):
-        return x  # inner point is not beyond the target: touching, no bracket
-    step = math.copysign(max(4.0 * abs(span), 1e-12 * max(1.0, abs(x))), span)
-    for _ in range(8):
-        outer = x + step
-        s_outer = scaled_trace_exact(c, outer)
-        side_outer = trace_side(s_outer, tgt)
-        if side_outer == 0:
-            return outer
-        if side_outer != side_inner:
-            t = exact_root(lambda t: scaled_trace_exact(c, t), tgt, Fraction(inner), Fraction(outer),
-                           s_inner, s_outer, wtol=Fraction(1e-13 * max(1.0, abs(x))))
-            return float(t)
-        step *= 4.0
-    return x
-
-
-def _sharpen_flat_gap_edges(c, bands, labels, knots):
-    """Re-refine the two edges around every narrow open gap.
-
-    Each gap's knot (knots[n + 1] for the gap above band n) anchors the
-    exact brackets: every edge solve is bracketed by it, so it lies
-    between the two float edges even where the true gap is narrower than
-    their scatter. Raises EdgeCountMismatch when a sharpened edge crosses
-    the other edge of its band: the float edge it passed is then wrong by
-    more than the band is long.
-    """
+    p = len(bands)
     cut = _FLAT_GAP_TRIGGER * max(1.0, bands[-1].hi - bands[0].lo)
     out = list(bands)
-    for n in range(len(bands) - 1):
+    for n in range(p - 1):
         gap = out[n + 1].lo - out[n].hi
         if not 0.0 < gap < cut:
             continue
-        inner = knots[n + 1]
-        hi_edge = _exact_edge_position(c, out[n].hi, 2.0 * labels[n][1], inner, -gap)
-        lo_edge = _exact_edge_position(c, out[n + 1].lo, 2.0 * labels[n + 1][0], inner, gap)
+        rising = gap_sign(p, n + 1) > 0.0
+        hi_edge = _newton_edge(partial(_exact_residual, c, 2 * labels[n][1]), knots[n], knots[n + 1],
+                               rising, out[n].hi, tol)
+        lo_edge = _newton_edge(partial(_exact_residual, c, 2 * labels[n + 1][0]), knots[n + 1],
+                               knots[n + 2], not rising, out[n + 1].lo, tol)
         out[n] = Interval(out[n].lo, hi_edge)
         out[n + 1] = Interval(lo_edge, out[n + 1].hi)
     for n, band in enumerate(out):
@@ -358,8 +359,8 @@ def band_structure(d: DiscriminantData) -> BandStructure:
         up = gap_sign(p, n + 1)
         rising = up > 0.0
         seed_up, seed_down = (seed_plus[n], seed_minus[n]) if rising else (seed_minus[n], seed_plus[n])
-        e_up = xr if touch_r else _newton_edge(c, 2.0 * up, xl, xr, rising, seed_up, tol)
-        e_down = xl if touch_l else _newton_edge(c, -2.0 * up, xl, xr, rising, seed_down, tol)
+        e_up = xr if touch_r else _newton_edge(partial(_float_residual, c, 2.0 * up), xl, xr, rising, seed_up, tol)
+        e_down = xl if touch_l else _newton_edge(partial(_float_residual, c, -2.0 * up), xl, xr, rising, seed_down, tol)
         e_plus, e_minus = (e_up, e_down) if rising else (e_down, e_up)
         if e_plus <= e_minus:
             bands.append(Interval(e_plus, e_minus))
@@ -372,7 +373,7 @@ def band_structure(d: DiscriminantData) -> BandStructure:
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    bands = _sharpen_flat_gap_edges(c, bands, labels, [x for x, _ in knots])
+    bands = _sharpen_flat_gap_edges(c, bands, labels, [x for x, _ in knots], tol)
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
     flags = tuple(g.length <= DEFAULT_CLOSED_TOL * max(1.0, span) for g in gaps)

@@ -18,12 +18,12 @@ summary block computed from the same `BandStructure`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .bands import BandStructure
 from .coefficients import PeriodicCoefficients, ScalarSummary
-from .discriminant import DiscriminantData
+from .discriminant import _LOG_FLOAT_RANGE, DiscriminantData
+from .errors import ConfigInvalid
 
 _RTOL = 1e-9
 _COND_RTOL = 1e-12
@@ -93,15 +93,12 @@ def _record(name, anchor, lhs, rhs, condition_met=True) -> BoundRecord:
     return BoundRecord(name, anchor, lhs, rhs, condition_met, satisfied, slack)
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
 def _pow_ratio(base_num: float, pow_num: int, base_den: float, pow_den: int) -> float:
     """base_num**pow_num / base_den**pow_den via logs; +inf once it overflows."""
     if base_num == 0.0:
         return 0.0
     log_ratio = pow_num * math.log(base_num) - pow_den * math.log(base_den)
-    if log_ratio > _LOG_FLOAT_MAX:
+    if log_ratio > _LOG_FLOAT_RANGE[1]:
         return math.inf
     return math.exp(log_ratio)
 
@@ -264,8 +261,13 @@ def evaluate_all_bounds(
     """Evaluate all thirteen records against one operator's band data.
 
     d_lower and d_upper are the scale d of the two reciprocal-log records
-    (None: the spectrum diameter s, and the smallest open gap).
+    (None: the spectrum diameter s, and the smallest open gap). Raises
+    ConfigInvalid when either is given and is not finite and positive:
+    the records take log(d) and log(4d / |band|).
     """
+    for name, d in (("d_lower", d_lower), ("d_upper", d_upper)):
+        if d is not None and not (math.isfinite(d) and d > 0.0):
+            raise ConfigInvalid(f"{name} must be finite and positive, got {d!r}")
     p, summary = data.p, data.summary
     records = _classical_bounds(p, summary, bs)
     records.append(_log_sum_lower(summary, bs, d_lower))

@@ -30,8 +30,10 @@ numerators over a common denominator. A point t = T/D joins that
 denominator through an lcm, and the cleared-denominator transfer product
 then runs in plain int arithmetic: no Fraction and no gcd inside the
 loop. The result stays an unreduced integer pair: reducing it costs a gcd
-on the full-size numerator, and callers only need its exact side of a
-rational (`trace_side`, by integer cross products).
+on the full-size numerator, and callers need only its exact side of a
+rational (`trace_side`, by integer cross products) or, for the exact
+edge re-solve of `bands`, its quotient by the off-diagonal product
+rounded to a float once.
 """
 
 from __future__ import annotations
@@ -270,47 +272,10 @@ def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
     return Fraction(*scaled_trace_exact(c, t)) / offdiag_product_exact(c)
 
 
-def _residual(s, y: Fraction) -> tuple[int, int]:
-    """s - y for a `scaled_trace_exact` pair s, as an unreduced pair over a positive denominator."""
-    return s[0] * y.denominator - y.numerator * s[1], s[1] * y.denominator
-
-
 def trace_side(s, y: Fraction) -> int:
-    """Sign of s - y for a `scaled_trace_exact` pair s: -1, 0 or 1."""
-    n, _ = _residual(s, y)
+    """Sign of s - y for a `scaled_trace_exact` pair s: -1, 0 or 1, by an integer cross product."""
+    n = s[0] * y.denominator - y.numerator * s[1]
     return (n > 0) - (n < 0)
-
-
-def exact_root(f, y: Fraction, a: Fraction, b: Fraction, f_a, f_b, wtol: Fraction) -> Fraction:
-    """Solve f(t) = y exactly between dyadic a and b by Illinois regula falsi.
-
-    f maps rationals to (numerator, positive denominator) integer pairs;
-    f_a = f(a) and f_b = f(b) lie strictly on opposite sides of y, and
-    y is a Fraction. Returns the latest secant point t once f(t) = y or
-    the bracket is within wtol.
-    Points are integers over a power of two, each rounded to a grid of 2^-k
-    of the bracket (k the fewest bits for a step under 1/16 of the
-    tolerance) and clamped strictly inside. A point on the side of the last
-    one halves the residual of the end kept (Dowell & Jarratt, BIT 11, 1971).
-    """
-    den = math.lcm(a.denominator, b.denominator)
-    a, b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    (na, da), (nb, db) = _residual(f_a, y), _residual(f_b, y)
-    for _ in range(100):
-        u, w = abs(na * db), abs(nb * da)  # the secant point is u / (u + w) of the way to b
-        k = max((16 * abs(b - a) * wtol.denominator // (den * wtol.numerator)).bit_length(), 1)
-        m = (a << k) + (b - a) * min(max((u << k) // (u + w), 1), (1 << k) - 1)
-        a, b, den = a << k, b << k, den << k
-        t = Fraction(m, den)
-        nm, dm = _residual(f(t), y)
-        if (nm > 0) == (nb > 0):
-            da <<= 1
-        else:
-            a, na, da = b, nb, db
-        b, nb, db = m, nm, dm
-        if nm == 0 or abs(b - a) * wtol.denominator <= wtol.numerator * den:
-            break
-    return t
 
 
 def dirichlet_eigenvalues(c: PeriodicCoefficients) -> tuple[float, ...]:

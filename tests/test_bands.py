@@ -107,7 +107,7 @@ def test_near_touching_gap_follows_closed_tol(monkeypatch):
     d = build_discriminant(new_periodic([1.0, 1.0], [0.0, 1e-7]))
     bs = band_structure(d)
     # the gap is genuinely open at width ~1e-7, far above DEFAULT_CLOSED_TOL * s;
-    # its flat edges are sharpened by exact bisection
+    # its flat edges are solved again on the exact residual
     assert bs.closed_gap_flags == (False,)
     assert bs.gaps[0].length == pytest.approx(1e-7, rel=1e-4)
     assert bs.min_gap == bs.gaps[0].length
@@ -236,7 +236,9 @@ def test_each_edge_is_one_newton_solve_or_a_touching_knot(monkeypatch):
     # One Floquet call per trial at every period: band_structure seeds its
     # edge solves with it and run_trial compares the edges against it. No
     # second path: each of the 2p edges is one Newton solve on a Dirichlet
-    # piece, or a touching knot, which is the edge of both its pieces.
+    # piece, or a touching knot, which is the edge of both its pieces; the
+    # two edges beside a narrow open gap are solved once more, on the
+    # exact residual.
     calls, solves, touching = [], [0], [0]
     inner = bands_mod.band_edges_oracle
     inner_solve = bands_mod._newton_edge
@@ -266,10 +268,12 @@ def test_each_edge_is_one_newton_solve_or_a_touching_knot(monkeypatch):
         t = run_trial(c)
         assert t.all_passed, (p, {n: r.detail for n, r in t.families.items() if not r.passed})
         assert calls == [c]
-        assert solves[0] + 2 * touching[0] == 2 * p
+        bs = t.band_structure
+        cut = bands_mod._FLAT_GAP_TRIGGER * max(1.0, bs.s)
+        narrow = sum(0.0 < g.length < cut for g in bs.gaps)
+        assert solves[0] + 2 * touching[0] == 2 * p + 2 * narrow
         if p == 8:
             assert touching[0] == 1
-        bs = t.band_structure
         assert bs.p == p
         assert bs.total_band_measure <= 4.0 + 1e-9
         assert bs.total_band_measure + bs.total_gap_measure == pytest.approx(bs.s, abs=1e-9)
@@ -364,14 +368,15 @@ def test_interval_length():
 @pytest.mark.parametrize("eps", [1e-7, 3e-6])
 def test_flat_gap_edges_are_exact(eps, monkeypatch):
     # D = x (x - eps) - 2, so the inner gap is exactly [0, eps]; float
-    # evaluation alone places these flat edges only to ~1e-9. Regula falsi
-    # without the Illinois step stalls on this parabola (about 160 exact
-    # calls, bisection about 55).
+    # evaluation alone places these flat edges only to ~1e-9. Newton on
+    # the exact residual from the float edges takes 3 and 2 exact
+    # evaluations (with the knot arbitration); an exact regula falsi
+    # bracketed by a point stepped into the band took 25 and 26.
     calls = count_exact_calls(monkeypatch, bands_mod)
     bs = band_structure(build_discriminant(new_periodic([1.0, 1.0], [0.0, eps])))
-    assert abs(bs.gaps[0].lo) <= 1e-13
-    assert abs(bs.gaps[0].hi - eps) <= 1e-13
-    assert calls[0] <= 40
+    assert abs(bs.gaps[0].lo) <= 1e-15
+    assert abs(bs.gaps[0].hi - eps) <= 1e-15
+    assert calls[0] <= 6
 
 
 def test_float_edge_refinement_budget(monkeypatch):
@@ -436,6 +441,16 @@ def test_periods_below_the_trusted_limit(p, skip):
             assert abs(x - y) <= ORACLE_MATCH_RTOL * max(1.0, bs.s)
 
 
+def test_inverted_band_is_a_typed_failure():
+    # A band below float resolution whose float edge is wrong by more than
+    # the band is long: the exactly re-solved edge beside a narrow gap
+    # passes it. The negative band length once escaped run_trial as "math
+    # domain error" from the bounds.
+    t = run_trial(sample_operator(EnsembleConfig(seed=1, p_min=60, p_max=60, a_lo=0.5, a_hi=2.0), 5))
+    assert not t.families["bands"].passed
+    assert "band 41 inverted by exact edge sharpening" in t.families["bands"].detail
+
+
 @pytest.mark.parametrize(
     "cfg, k",
     [
@@ -445,13 +460,29 @@ def test_periods_below_the_trusted_limit(p, skip):
         (EnsembleConfig(seed=3, p_min=30, p_max=30), 5),
     ],
 )
-def test_inverted_band_is_a_typed_failure(cfg, k):
-    # Exact sharpening moved one edge of a band below float resolution past
-    # its float partner; the negative band length then escaped run_trial as
-    # "math domain error" from the bounds.
-    t = run_trial(sample_operator(cfg, k))
-    assert not t.families["bands"].passed
-    assert "inverted by exact edge sharpening" in t.families["bands"].detail
+def test_narrow_gap_edges_resolved_on_their_pieces(cfg, k):
+    # An exact bracket search stepped from the float edge into the band
+    # inverted a band below float resolution in each of these; solved
+    # again on the edge's own piece, every edge is within 1e-16 * s of
+    # 60-digit Floquet eigenvalues. Alternation fails at these periods
+    # on the float sign of D at such edges.
+    c = sample_operator(cfg, k)
+    t = run_trial(c)
+    failed = [n for n, r in t.families.items() if n != "alternation" and not r.passed]
+    assert not failed, (k, {n: t.families[n].detail for n in failed})
+    bs = t.band_structure
+    for x, y in zip(bs.edges, numpy_edges(c)):
+        assert abs(x - y) <= 1e-14 * max(1.0, bs.s), k
+
+
+def test_exact_residual_beyond_the_float_range():
+    # D = 2 T_3(x / 2a) reaches about 1e309 at x = 1e3 here: the exact
+    # residual is then +/-inf, as the float evaluator gives, where the
+    # integer quotient alone raises OverflowError, which run_trial does
+    # not catch (seen on an operator with entries from 1e-50 to 1e56).
+    c = new_periodic([1e-100] * 3, [0.0] * 3)
+    assert bands_mod._exact_residual(c, 2, 1e3)[0] == math.inf
+    assert bands_mod._exact_residual(c, 2, -1e3)[0] == -math.inf
 
 
 def test_short_blocks_pass_every_family():

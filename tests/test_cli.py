@@ -39,6 +39,17 @@ def test_analyze_accepts_d_overrides(tmp_path, capsys):
     assert "log_sum_lower" in out
 
 
+@pytest.mark.parametrize("flag", ["--d-lower", "--d-upper"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_d_override_not_finite_and_positive_is_a_clean_error(tmp_path, capsys, flag, value):
+    # --d-lower 0 or -1 raised "math domain error" out of the log-sum bound;
+    # nan and inf printed a row of nan or inf.
+    op = write_operator(tmp_path, [1.0, 1.0], [0.0, 2.0])
+    assert main(["analyze", str(op), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite and positive" in err
+
+
 def test_verify_passes_on_good_operator(tmp_path, capsys):
     op = write_operator(tmp_path, [1.0], [0.0])
     assert main(["verify", str(op)]) == 0
