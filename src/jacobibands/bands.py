@@ -10,7 +10,9 @@ Each of the 2p edges is a Newton solve safeguarded by bisection inside
 that bracket, started at the Floquet eigenvalue of the edge
 (`floquet.band_edges_oracle`, called once per operator; a seed outside
 the piece starts at its midpoint): the k-th solution of D = +/-2 in
-sorted order lies in the k-th piece, doubled solutions included. The
+sorted order lies in the k-th piece, doubled solutions included. So the
+period alone labels every edge with its target (`BandStructure.edge_labels`),
+and a band stores its two solved edges in ascending order. The
 eigenvalues only seed: a wrong one costs steps, never moves an edge, and
 fails the oracle comparison of `ensemble.run_trial`. A knot whose value
 sits within evaluation noise of the gap's target +/-2 is either a
@@ -63,8 +65,8 @@ _EDGE_RTOL = 1e-12
 # nothing calls it, so that "bands.float" span never opens.
 eval_discriminant_stable = None
 
-# Steps of `float_root` and `_newton_edge`. Each reaches tol or the float
-# resolution floor in well under this many.
+# Steps of `_gap_critical_point` and `_newton_edge`. Each reaches tol or
+# the float resolution floor in well under this many.
 _STEP_BUDGET = 300
 
 
@@ -84,16 +86,13 @@ class Interval:
 class BandStructure:
     """Ordered bands and gaps of one operator.
 
-    edge_labels holds, per band, the discriminant target (+1 for +2,
-    -1 for -2) that defined its lower and upper edge. min_gap is the
-    smallest open gap, +inf when every gap is closed, and None when p = 1
-    and no gap exists at all. floquet_eigenvalues is the (plus, minus)
-    pair of `band_edges_oracle` that seeded the edge solves.
+    min_gap is the smallest open gap, +inf when every gap is closed, and
+    None when p = 1 and no gap exists at all. floquet_eigenvalues is the
+    (plus, minus) pair of `band_edges_oracle` that seeded the edge solves.
     """
 
     bands: tuple[Interval, ...]
     gaps: tuple[Interval, ...]
-    edge_labels: tuple[tuple[int, int], ...]
     s: float
     total_band_measure: float
     min_gap: float | None
@@ -103,6 +102,17 @@ class BandStructure:
     @property
     def p(self) -> int:
         return len(self.bands)
+
+    @property
+    def edge_labels(self) -> tuple[tuple[int, int], ...]:
+        """Per band, the discriminant target (+1 for +2, -1 for -2) at its lower and upper edge.
+
+        Interlacing fixes them from p alone: band n runs from D = -2 up to
+        D = +2 up, up = `gap_sign(p, n + 1)`, the sign of D on the gap
+        above it, and the last band ends at +2.
+        """
+        ups = (int(gap_sign(self.p, n)) for n in range(1, self.p + 1))
+        return tuple((-up, up) for up in ups)
 
     @property
     def edges(self) -> tuple[float, ...]:
@@ -124,27 +134,6 @@ class BandStructure:
     @property
     def min_band(self) -> float:
         return min(b.length for b in self.bands)
-
-
-def float_root(f, lo, f_lo, hi, f_hi, tol):
-    """Bracket of width <= tol around a sign change of f, by bisection.
-
-    f_lo = f(lo) and f_hi = f(hi) are nonzero with opposite signs. Returns
-    (lo, f_lo, hi, f_hi) once hi - lo <= tol or the bracket cannot be split
-    in floats, and (x, 0.0, x, 0.0) at an exact zero.
-    """
-    for _ in range(_STEP_BUDGET):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or not lo < mid < hi:
-            return lo, f_lo, hi, f_hi
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid, f_mid, mid, f_mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    raise NonConvergence(f"root budget exhausted on [{lo}, {hi}]")
 
 
 def _touches(c, x, target):
@@ -199,26 +188,28 @@ def _gap_critical_point(c, x, s, slope, stop, tol):
 
     s * D grows from x toward stop, the next Dirichlet eigenvalue (or end
     of the search interval) on that side. Between them a point is short
-    of the gap's critical point exactly while D' keeps its sign at x and D
-    keeps the gap sign: past the critical point D' turns, and where it
-    turns back, beyond the next critical point, D has the other gap's
-    sign. So the indicator below changes sign once on [x, stop], at the
-    critical point, and stop is beyond it by interlacing.
+    of the gap's critical point exactly while D keeps the gap sign and D'
+    keeps its sign at x (slope): past the critical point D' turns, and
+    where it turns back, beyond the next critical point, D has the other
+    gap's sign. So bisection keeps a short end and a beyond end, stop
+    being beyond by interlacing, and returns the short end once the two
+    are within tol or adjacent floats, or a midpoint where D' is 0.0.
     """
-    sense = 1.0 if s * slope > 0.0 else -1.0
-
-    def short(t):
-        value, d = eval_discriminant_and_slope(c, t)
-        if s * value > 0.0:
-            return sense * s * d
-        return -max(abs(d), 1e-300)
-
-    f_x, f_stop = abs(slope), -abs(slope)
-    if x < stop:
-        lo, f_lo, hi, f_hi = float_root(short, x, f_x, stop, f_stop, tol)
-    else:
-        lo, f_lo, hi, f_hi = float_root(short, stop, f_stop, x, f_x, tol)
-    return lo if f_lo >= 0.0 else hi
+    sense = 1.0 if slope > 0.0 else -1.0
+    short, beyond = x, stop
+    for _ in range(_STEP_BUDGET):
+        lo, hi = min(short, beyond), max(short, beyond)
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:
+            return short
+        value, d = eval_discriminant_and_slope(c, mid)
+        if s * value > 0.0 and d == 0.0:
+            return mid
+        if s * value > 0.0 and sense * d > 0.0:
+            short = mid
+        else:
+            beyond = mid
+    raise NonConvergence(f"critical point budget exhausted between {short} and {beyond}")
 
 
 def _newton_edge(residual, lo, hi, rising, x, tol):
@@ -290,12 +281,13 @@ def _exact_residual(c, target, x):
 _FLAT_GAP_TRIGGER = 1e-4
 
 
-def _sharpen_flat_gap_edges(c, bands, labels, knots, tol):
+def _sharpen_flat_gap_edges(c, bands, knots, tol):
     """Re-solve the two edges around every narrow open gap on the exact residual.
 
     Each edge is solved again by `_newton_edge` on its own piece (knots n
     and n + 1 for band n), seeded at its float edge, with D - target exact
-    (`_exact_residual`). The gap's knot bounds both pieces, so the two
+    (`_exact_residual`); both edges of gap n + 1 share its target
+    2 * `gap_sign(p, n + 1)`. The gap's knot bounds both pieces, so the two
     edges stay on its two sides even where the true gap is narrower than
     the float edges' scatter. Raises EdgeCountMismatch when a sharpened
     edge crosses the other edge of its band: the float edge it passed is
@@ -309,10 +301,9 @@ def _sharpen_flat_gap_edges(c, bands, labels, knots, tol):
         if not 0.0 < gap < cut:
             continue
         rising = gap_sign(p, n + 1) > 0.0
-        hi_edge = _newton_edge(partial(_exact_residual, c, 2 * labels[n][1]), knots[n], knots[n + 1],
-                               rising, out[n].hi, tol)
-        lo_edge = _newton_edge(partial(_exact_residual, c, 2 * labels[n + 1][0]), knots[n + 1],
-                               knots[n + 2], not rising, out[n + 1].lo, tol)
+        residual = partial(_exact_residual, c, 2 if rising else -2)
+        hi_edge = _newton_edge(residual, knots[n], knots[n + 1], rising, out[n].hi, tol)
+        lo_edge = _newton_edge(residual, knots[n + 1], knots[n + 2], not rising, out[n + 1].lo, tol)
         out[n] = Interval(out[n].lo, hi_edge)
         out[n + 1] = Interval(lo_edge, out[n + 1].hi)
     for n, band in enumerate(out):
@@ -338,10 +329,6 @@ def band_structure(d: DiscriminantData) -> BandStructure:
 
     p = c.p
     eigenvalues = band_edges_oracle(c)
-    if any(len(roots) != p for roots in eigenvalues):
-        raise EdgeCountMismatch(
-            f"oracle produced {len(eigenvalues[0])}/{len(eigenvalues[1])} edges, expected {p} each"
-        )
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     seeds = (lo_bound, *d.knots, hi_bound)
@@ -350,7 +337,6 @@ def band_structure(d: DiscriminantData) -> BandStructure:
         knots.append(_gap_knot(c, x, value, err, gap_sign(p, j), seeds[j - 1], seeds[j + 1], tol))
     knots.append((hi_bound, False))
     bands: list[Interval] = []
-    labels: list[tuple[int, int]] = []
     seed_plus, seed_minus = eigenvalues
     for n in range(p):
         # By interlacing D has the sign -up at knot n and up at knot n + 1,
@@ -362,18 +348,13 @@ def band_structure(d: DiscriminantData) -> BandStructure:
         e_up = xr if touch_r else _newton_edge(partial(_float_residual, c, 2.0 * up), xl, xr, rising, seed_up, tol)
         e_down = xl if touch_l else _newton_edge(partial(_float_residual, c, -2.0 * up), xl, xr, rising, seed_down, tol)
         e_plus, e_minus = (e_up, e_down) if rising else (e_down, e_up)
-        if e_plus <= e_minus:
-            bands.append(Interval(e_plus, e_minus))
-            labels.append((1, -1))
-        else:
-            bands.append(Interval(e_minus, e_plus))
-            labels.append((-1, 1))
+        bands.append(Interval(e_plus, e_minus) if e_plus <= e_minus else Interval(e_minus, e_plus))
     for n in range(p - 1):
         if bands[n].hi > bands[n + 1].lo:
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    bands = _sharpen_flat_gap_edges(c, bands, labels, [x for x, _ in knots], tol)
+    bands = _sharpen_flat_gap_edges(c, bands, [x for x, _ in knots], tol)
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
     flags = tuple(g.length <= DEFAULT_CLOSED_TOL * max(1.0, span) for g in gaps)
@@ -382,7 +363,6 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     return BandStructure(
         bands=tuple(bands),
         gaps=gaps,
-        edge_labels=tuple(labels),
         s=span,
         total_band_measure=math.fsum(b.length for b in bands),
         min_gap=min_gap,

@@ -143,14 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_ens = sub.add_parser("ensemble", help="run a seeded random ensemble")
-    p_ens.add_argument("--trials", type=int, default=100)
-    p_ens.add_argument("--seed", type=int, default=0)
-    p_ens.add_argument("--pmin", type=int, default=2)
-    p_ens.add_argument("--pmax", type=int, default=10)
-    p_ens.add_argument("--a-lo", type=float, default=0.1)
-    p_ens.add_argument("--a-hi", type=float, default=10.0)
-    p_ens.add_argument("--b-lo", type=float, default=-5.0)
-    p_ens.add_argument("--b-hi", type=float, default=5.0)
+    defaults = EnsembleConfig()
+    p_ens.add_argument("--trials", type=int, default=defaults.trials)
+    p_ens.add_argument("--seed", type=int, default=defaults.seed)
+    p_ens.add_argument("--pmin", type=int, default=defaults.p_min)
+    p_ens.add_argument("--pmax", type=int, default=defaults.p_max)
+    p_ens.add_argument("--a-lo", type=float, default=defaults.a_lo)
+    p_ens.add_argument("--a-hi", type=float, default=defaults.a_hi)
+    p_ens.add_argument("--b-lo", type=float, default=defaults.b_lo)
+    p_ens.add_argument("--b-hi", type=float, default=defaults.b_hi)
     p_ens.add_argument("--report", help="write the full ensemble report as JSON")
     p_ens.set_defaults(func=_cmd_ensemble)
 

@@ -6,6 +6,7 @@ import pytest
 
 from jacobibands import (
     EdgeCountMismatch,
+    NonConvergence,
     band_structure,
     bands_to_csv,
     build_discriminant,
@@ -15,7 +16,7 @@ from jacobibands import bands as bands_mod
 from jacobibands import discriminant as discriminant_mod
 from jacobibands import ensemble as ensemble_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
-from jacobibands.discriminant import DiscriminantData, eval_discriminant_bounded
+from jacobibands.discriminant import DiscriminantData, eval_discriminant_and_slope, eval_discriminant_bounded
 from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
 
 from conftest import (
@@ -336,6 +337,54 @@ def test_floquet_eigenvalues_only_seed(corrupt, monkeypatch):
         bs = t.band_structure
         for x, y in zip(bs.edges, numpy_edges(c)):
             assert abs(x - y) <= 1e-12 * max(1.0, bs.s), k
+
+
+def counted_critical_point(monkeypatch, a, b, x, stop, tol):
+    """`_gap_critical_point` of the one gap of a p = 2 operator, with the evaluations it made."""
+    c = new_periodic(a, b)
+    calls = [0]
+
+    def counted(c, t):
+        calls[0] += 1
+        return eval_discriminant_and_slope(c, t)
+
+    monkeypatch.setattr(bands_mod, "eval_discriminant_and_slope", counted)
+    slope = eval_discriminant_and_slope(c, x)[1]
+    return bands_mod._gap_critical_point(c, x, -1.0, slope, stop, tol), calls[0]
+
+
+@pytest.mark.parametrize(
+    "a, b, x, stop",
+    [
+        ([1.0, 1.0], [-1.0, 1.3], 1.0, -1.0),
+        ([1.0, 1.0], [-1.0, 1.3], -1.0, 1.0),
+        # steep: D reaches -6e5 at x
+        ([1e-3, 1e-3], [-1.0, 1.3], 1.0, -1.0),
+    ],
+    ids=["from_above", "from_below", "steep"],
+)
+def test_gap_critical_point_within_tol(monkeypatch, a, b, x, stop):
+    # At p = 2, D is a parabola with its critical point at (b1 + b2) / 2.
+    tol = 1e-12
+    point, calls = counted_critical_point(monkeypatch, a, b, x, stop, tol)
+    critical = 0.5 * (b[0] + b[1])
+    assert abs(point - critical) <= tol
+    assert (point - critical) * (x - critical) >= 0.0  # the end short of it
+    # never more than plain bisection needs
+    assert calls <= math.ceil(math.log2(abs(stop - x) / tol)) + 1
+
+
+def test_gap_critical_point_stops_where_the_slope_is_zero(monkeypatch):
+    # D = x^2 - 3: the first midpoint 0.0 is the critical point, D' = 0.0 there.
+    point, calls = counted_critical_point(monkeypatch, [1.0, 1.0], [-1.0, 1.0], 1.0, -1.0, 1e-12)
+    assert point == 0.0
+    assert calls == 1
+
+
+def test_gap_critical_point_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(bands_mod, "_STEP_BUDGET", 5)
+    with pytest.raises(NonConvergence, match="budget exhausted"):
+        counted_critical_point(monkeypatch, [1.0, 1.0], [-1.0, 1.3], 1.0, -1.0, 1e-12)
 
 
 def test_corrupted_critical_points_raise():

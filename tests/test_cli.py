@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from jacobibands import new_periodic
 from jacobibands.cli import main
-from jacobibands.ensemble import EnsembleConfig, sample_operator
+from jacobibands.ensemble import EnsembleConfig, run_trial, sample_operator, trial_to_jsonable
 
 
 def write_operator(tmp_path, a, b, name="op.json"):
@@ -52,10 +53,13 @@ def test_d_override_not_finite_and_positive_is_a_clean_error(tmp_path, capsys, f
 
 def test_verify_passes_on_good_operator(tmp_path, capsys):
     op = write_operator(tmp_path, [1.0], [0.0])
-    assert main(["verify", str(op)]) == 0
+    report = tmp_path / "trial.json"
+    assert main(["verify", str(op), "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "ALL PASSED" in out
     assert "bounds_unconditional" in out
+    trial = trial_to_jsonable(run_trial(new_periodic([1.0], [0.0])))
+    assert report.read_text() == json.dumps(trial, indent=2) + "\n"
 
 
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
@@ -149,6 +153,11 @@ def test_ensemble_runs_and_reports(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["config"]["trials"] == 6
     assert len(payload["trials"]) == 6
+
+
+def test_non_finite_ensemble_range_is_a_clean_error(capsys):
+    assert main(["ensemble", "--trials", "1", "--a-hi", "inf"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_module_entry_point(tmp_path):

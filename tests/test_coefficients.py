@@ -28,6 +28,8 @@ def test_new_periodic_rejects_zero_offdiagonal():
         new_periodic([1, 0], [0, 0])
     with pytest.raises(NonPositiveOffDiagonal):
         new_periodic([-1.0], [0.0])
+    with pytest.raises(NonPositiveOffDiagonal):
+        new_periodic([1.0], [0.0]).scaled(0.0)
 
 
 def test_new_periodic_rejects_length_mismatch():

@@ -74,6 +74,8 @@ def test_config_validation():
         validate_config(EnsembleConfig(a_lo=2.0, a_hi=1.0))
     with pytest.raises(ConfigInvalid):
         validate_config(EnsembleConfig(b_lo=1.0, b_hi=-1.0))
+    with pytest.raises(ConfigInvalid, match="non-finite"):
+        validate_config(EnsembleConfig(a_hi=math.inf))
     with pytest.raises(ConfigInvalid):
         run_ensemble(EnsembleConfig(trials=0))
 

@@ -79,34 +79,20 @@ def test_alternation_single_band():
 
 
 def test_alternation_fails_on_a_swapped_sign():
+    # Band 0 of the period-2 fixture runs from D = +2 down to D = -2 at 0;
+    # its upper edge moved to -1, where D = +1, keeps the sup at 2.
     d, bs = pipeline(period2_operator())
-    labels = ((-1, 1), bs.edge_labels[1])
-    with pytest.raises(AlternationFailure, match="sign of discriminant at extremum"):
-        potential_report(d, dataclasses.replace(bs, edge_labels=labels))
+    bands = (Interval(bs.bands[0].lo, -1.0), bs.bands[1])
+    with pytest.raises(AlternationFailure, match="at extremum -1.0 is [+]1, expected -1"):
+        potential_report(d, dataclasses.replace(bs, bands=bands))
 
 
-def test_alternation_fails_without_a_positive_rightmost_extremum():
-    # The last band reversed, labels swapped with it: every float sign still
-    # matches its label, and the rightmost extremum carries -.
-    d, bs = pipeline(period2_operator())
-    last = bs.bands[-1]
-    bands = (bs.bands[0], Interval(last.hi, last.lo))
-    labels = (bs.edge_labels[0], bs.edge_labels[1][::-1])
-    with pytest.raises(AlternationFailure, match="rightmost extremum must attain the positive sup"):
-        potential_report(d, dataclasses.replace(bs, bands=bands, edge_labels=labels))
-
-
-def test_alternation_fails_on_a_short_alternating_run():
-    # Band 1 of the free p = 3 operator collapsed onto its lower edge, where
-    # D = +2, and labelled (-, +): the shared point before it and its upper
-    # point both carry +, and band 2's lower edge is shared too, so the
-    # labels read -, +, +, + and the run drops from 4 to 2 points.
-    d, bs = pipeline(free_operator(3))
-    x = bs.bands[1].lo
-    bands = (bs.bands[0], Interval(x, x), bs.bands[2])
-    labels = (bs.edge_labels[0], (-1, 1), bs.edge_labels[2])
-    with pytest.raises(AlternationFailure, match="longest alternating subsequence has 2 points, need 4"):
-        potential_report(d, dataclasses.replace(bs, bands=bands, edge_labels=labels))
+def test_alternation_failure_names_a_zero_sign():
+    # D(x) = x - 0.5 on the single band [-1.5, 2.5]; its lower edge moved
+    # to 0.5, where D is exactly 0.0, leaves the capacity intact.
+    d, bs = pipeline(new_periodic([1.0], [0.5]))
+    with pytest.raises(AlternationFailure, match="at extremum 0.5 is 0, expected -1"):
+        potential_report(d, dataclasses.replace(bs, bands=(Interval(0.5, 2.5),)))
 
 
 def test_equilibrium_measures_open_gaps():
