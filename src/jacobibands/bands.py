@@ -15,16 +15,17 @@ period alone labels every edge with its target (`BandStructure.edge_labels`),
 and a band stores its two solved edges in ascending order. The
 eigenvalues only seed: a wrong one costs steps, never moves an edge, and
 fails the oracle comparison of `ensemble.run_trial`. A knot whose value
-sits within evaluation noise of the gap's target +/-2 is either a
-touching point, where the slope is in noise too, or the edge of an open
-gap, which is moved to the gap's critical point. At a knot of either
-kind, one exact rational evaluation arbitrates for both neighboring
-pieces: its sign alone, with no tolerance, tells a genuine touch (value
-on the target or on the band side: both edges are the knot, gap length
-exactly zero) from an open gap, however shallow. The two edges around a
-narrow open gap, whose flat crossings scatter by noise over slope in
-floats, are solved once more by the same Newton routine on their pieces,
-seeded at the float edges, with D - target evaluated exactly.
+does not clear the gap's target +/-2 by more than evaluation noise is
+either a touching point, where the slope is in noise too, or the edge of
+an open gap, which is moved to the gap's critical point. At a knot of
+either kind, one exact rational evaluation arbitrates for both
+neighboring pieces: its sign alone, with no tolerance, tells a genuine
+touch (value on the target or on the band side) from an open gap,
+however shallow, and is the gap's closed flag: both edges of a closed
+gap are the knot. The two edges around a narrow open gap, whose flat
+crossings scatter by noise over slope in floats, are solved once more by
+the same Newton routine on their pieces, seeded at the float edges, with
+D - target evaluated exactly.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ from .discriminant import (
 )
 from .errors import EdgeCountMismatch, NonConvergence
 from .floquet import band_edges_oracle
-
-# A gap no longer than this times max(1, s), s the spectrum diameter, is closed.
-DEFAULT_CLOSED_TOL = 1e-9
 
 # Edges match the Floquet eigenvalues to this times max(1, s) in the oracle
 # family of `ensemble.run_trial`; `potential._refine_value_exact` certifies
@@ -86,9 +84,12 @@ class Interval:
 class BandStructure:
     """Ordered bands and gaps of one operator.
 
-    min_gap is the smallest open gap, +inf when every gap is closed, and
-    None when p = 1 and no gap exists at all. floquet_eigenvalues is the
-    (plus, minus) pair of `band_edges_oracle` that seeded the edge solves.
+    closed_gap_flags holds, per gap, whether its knot touches: a closed
+    gap is an exact touch, and its two edges are the same float, so its
+    length is exactly 0.0. min_gap is the smallest open gap, +inf when
+    every gap is closed, and None when p = 1 and no gap exists at all.
+    floquet_eigenvalues is the (plus, minus) pair of `band_edges_oracle`
+    that seeded the edge solves.
     """
 
     bands: tuple[Interval, ...]
@@ -137,7 +138,7 @@ class BandStructure:
 
 
 def _touches(c, x, target):
-    """Exact arbitration at a knot, flat to within noise, whose float value sits in noise.
+    """Exact arbitration at a knot whose float value does not clearly clear its target.
 
     Evaluates the discriminant minus target exactly. A value at the target
     or on the band side means a touching point (the knot, a Dirichlet
@@ -150,9 +151,10 @@ def _touches(c, x, target):
     return side == 0 or (side > 0) != (target > 0)
 
 
-def _in_noise(g, err, target):
-    """Whether the residual g = value - target is within the evaluation noise err."""
-    return abs(g) <= 4.0 * err + 1e-14 * (1.0 + abs(target))
+def _clearly_beyond(value, err, s):
+    """Whether value is beyond the gap's target 2s by more than the evaluation noise err."""
+    target = 2.0 * s
+    return s * (value - target) > 4.0 * err + 1e-14 * (1.0 + abs(target))
 
 
 def _gap_knot(c, x, value, err, s, left, right, tol):
@@ -164,23 +166,19 @@ def _gap_knot(c, x, value, err, s, left, right, tol):
     touching point, where the slope is in noise as well, or an edge of an
     open gap, which the solvers of both neighbouring pieces could mistake
     for their own crossing; the knot then moves to the gap's critical
-    point. A value there within the float evaluation noise of 2s takes
-    exact arbitration (`_touches`); one still short of 2s beyond noise,
-    which the knot check of `build_discriminant` allows by 1e-9, touches.
-    Touching bands share the knot as their edge: gap length exactly zero.
+    point, and a value clearly beyond 2s there opens the gap too. Any
+    other knot is decided by its exact sign alone (`_touches`). touching
+    is the gap's closed flag: touching bands share the knot as their
+    edge, so the gap is closed exactly when both its edges are one float.
     """
-    target = 2.0 * s
-    g = value - target
-    if s * g > 0.0 and not _in_noise(g, err, target):
+    if _clearly_beyond(value, err, s):
         return x, False
     _, _, slope, slope_err = eval_discriminant_slope(c, x)
     if abs(slope) > 4.0 * slope_err:
         x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
-        value, err = eval_discriminant_bounded(c, x)
-    g = value - target
-    if _in_noise(g, err, target):
-        return x, _touches(c, x, target)
-    return x, s * g < 0.0
+        if _clearly_beyond(*eval_discriminant_bounded(c, x), s):
+            return x, False
+    return x, _touches(c, x, 2.0 * s)
 
 
 def _gap_critical_point(c, x, s, slope, stop, tol):
@@ -281,24 +279,24 @@ def _exact_residual(c, target, x):
 _FLAT_GAP_TRIGGER = 1e-4
 
 
-def _sharpen_flat_gap_edges(c, bands, knots, tol):
+def _sharpen_flat_gap_edges(c, bands, knots, flags, tol):
     """Re-solve the two edges around every narrow open gap on the exact residual.
 
-    Each edge is solved again by `_newton_edge` on its own piece (knots n
-    and n + 1 for band n), seeded at its float edge, with D - target exact
-    (`_exact_residual`); both edges of gap n + 1 share its target
-    2 * `gap_sign(p, n + 1)`. The gap's knot bounds both pieces, so the two
-    edges stay on its two sides even where the true gap is narrower than
-    the float edges' scatter. Raises EdgeCountMismatch when a sharpened
-    edge crosses the other edge of its band: the float edge it passed is
-    then wrong by more than the band is long.
+    flags are the closed-gap flags. Each edge is solved again by
+    `_newton_edge` on its own piece (knots n and n + 1 for band n), seeded
+    at its float edge, with D - target exact (`_exact_residual`); both
+    edges of gap n + 1 share its target 2 * `gap_sign(p, n + 1)`. The gap's
+    knot bounds both pieces, so the two edges stay on its two sides even
+    where the true gap is narrower than the float edges' scatter. Raises
+    EdgeCountMismatch when a sharpened edge crosses the other edge of its
+    band: the float edge it passed is then wrong by more than the band is
+    long.
     """
     p = len(bands)
     cut = _FLAT_GAP_TRIGGER * max(1.0, bands[-1].hi - bands[0].lo)
     out = list(bands)
     for n in range(p - 1):
-        gap = out[n + 1].lo - out[n].hi
-        if not 0.0 < gap < cut:
+        if flags[n] or not out[n + 1].lo - out[n].hi < cut:
             continue
         rising = gap_sign(p, n + 1) > 0.0
         residual = partial(_exact_residual, c, 2 if rising else -2)
@@ -318,10 +316,11 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     """Extract the p bands and p-1 gaps from a discriminant.
 
     Edges are refined to absolute accuracy `_EDGE_RTOL` times the width of
-    the search interval. Exactly p bands are always returned; closed gaps
-    (`DEFAULT_CLOSED_TOL`) appear as zero-length gaps between them, never
-    as merged bands. The Floquet eigenvalues are computed once and seed
-    every edge solve.
+    the search interval. Exactly p bands are always returned. A gap is
+    closed exactly when its knot touches (`_gap_knot`, an exact sign with
+    no tolerance); it then appears as a zero-length gap, both edges the
+    knot, never as merged bands. The Floquet eigenvalues are computed once
+    and seed every edge solve.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
@@ -354,10 +353,10 @@ def band_structure(d: DiscriminantData) -> BandStructure:
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    bands = _sharpen_flat_gap_edges(c, bands, [x for x, _ in knots], tol)
+    flags = tuple(touching for _, touching in knots[1:-1])
+    bands = _sharpen_flat_gap_edges(c, bands, [x for x, _ in knots], flags, tol)
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
-    flags = tuple(g.length <= DEFAULT_CLOSED_TOL * max(1.0, span) for g in gaps)
     open_lengths = [g.length for g, closed in zip(gaps, flags) if not closed]
     min_gap = None if p == 1 else min(open_lengths, default=math.inf)
     return BandStructure(

@@ -207,17 +207,15 @@ def _log_sum_upper(p: int, summary: ScalarSummary, bs: BandStructure, d: float |
     """Reciprocal-positive-log band-sum upper estimate, needing min gap >= d.
 
     sum_n 1/log+(4d/|band_n|) <= 1/log+(d/A). Vacuous whenever the right
-    side is +inf (d <= A). d = None takes the smallest open gap; the
-    condition also demands every gap be open, since a closed gap defeats
-    any d > 0.
+    side is +inf (d <= A). d = None takes the smallest open gap. The
+    condition reads every gap: a closed gap has length exactly 0.0
+    (`BandStructure`), so it defeats any d > 0.
     """
-    all_open = p >= 2 and not any(bs.closed_gap_flags)
     if d is None:
         d = bs.min_gap if (bs.min_gap is not None and math.isfinite(bs.min_gap)) else math.inf
     min_all_gap = min((g.length for g in bs.gaps), default=math.inf)
     condition = (
         p >= 2
-        and all_open
         and math.isfinite(d)
         and d > 0.0
         and min_all_gap >= d * (1.0 - _COND_RTOL)

@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (JacobiBandsError, OSError, json.JSONDecodeError) as exc:
+    except (JacobiBandsError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

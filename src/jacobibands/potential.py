@@ -79,15 +79,16 @@ def _refine_value_exact(d: DiscriminantData, x: float, target: int) -> float:
     with its running error bound decides the side of the target wherever
     they differ by more than the bound. Only a step where the bound cannot
     decide an end takes the exact signs of both ends instead. Sides that
-    differ, by either test, return |target|. The bracket widens until the
-    signs differ, but h not past `ORACLE_MATCH_RTOL` of the search interval:
-    a crossing farther away belongs to another edge. Without one (a
+    differ, by either test, return |target|. h widens by 8 from 1e-13 of
+    |x| (at least 1e-15) until the signs differ, but stays at most
+    `ORACLE_MATCH_RTOL` of the search interval, the start included: a
+    crossing farther away belongs to another edge. Without one (a
     touching edge, or a wrong one) the float value at x is returned.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
     h_max = ORACLE_MATCH_RTOL * max(1.0, hi_bound - lo_bound)
-    h = max(1e-13 * max(1.0, abs(x)), 1e-15)
+    h = min(max(1e-13 * max(1.0, abs(x)), 1e-15), h_max)
     while h <= h_max:
         lo, hi = x - h, x + h
         (v_lo, e_lo), (v_hi, e_hi) = eval_discriminant_bounded(c, lo), eval_discriminant_bounded(c, hi)

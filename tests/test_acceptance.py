@@ -20,7 +20,7 @@ from jacobibands import (
 )
 from jacobibands.bounds import CONDITIONAL_NAMES, UNCONDITIONAL_NAMES
 from jacobibands.cli import main
-from jacobibands.discriminant import search_interval
+from jacobibands.discriminant import eval_discriminant, search_interval
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 
 from conftest import criterion, free_operator, period2_operator
@@ -159,12 +159,10 @@ def test_criterion_7_structural_invariants():
                     assert abs(x1 - (x0 + shift_t)) <= tol
                     assert abs(x2 - scale_f * x0) <= tol
 
-            # interlacing: roots of target +2 and -2 alternate in pairs
-            for lab_lo, lab_hi in bs0.edge_labels:
-                assert lab_lo == -lab_hi
-            for n in range(bs0.p - 1):
-                assert bs0.edge_labels[n][1] == bs0.edge_labels[n + 1][0]
-            assert bs0.edge_labels[-1][1] == 1
+            # interlacing: each edge solves the target its label names
+            for band, labels in zip(bs0.bands, bs0.edge_labels):
+                for x, label in zip((band.lo, band.hi), labels):
+                    assert eval_discriminant(c, x) * label > 0.0, (k, x, label)
 
 
 def test_criterion_8_byte_identical_reports(tmp_path):

@@ -74,6 +74,13 @@ def test_malformed_operator_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_a_clean_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_non_numeric_entry_is_a_clean_error(tmp_path, capsys):
     op = write_operator(tmp_path, ["x"], [1])
     assert main(["verify", str(op)]) == 2

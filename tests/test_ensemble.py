@@ -186,7 +186,7 @@ def test_ensemble_reports_are_reproducible():
 
 
 def test_seed42_report_bytes_are_pinned():
-    # The report bytes, the same on CPython 3.10, 3.11 and 3.12. A change
+    # The report bytes, the same on CPython 3.10, 3.11, 3.12 and 3.13. A change
     # that moves this digest changes the reports and must say why.
     res = run_ensemble(EnsembleConfig(trials=200, seed=42))
     text = json.dumps(ensemble_to_jsonable(res), sort_keys=True)

@@ -145,6 +145,17 @@ def test_capacity_translation_invariance_and_homogeneity():
     assert report(c.scaled(3.0)).cap_spectrum == pytest.approx(3.0 * base, rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e6, 1e7])
+def test_certificate_runs_far_from_the_origin(t):
+    # The certificate's first half-width is 1e-13 of |x|; past about 1e5
+    # times the search width it exceeds the cap, and starting there tried
+    # no step at all, so the float |D| entered the sup and failed capacity
+    # (operator 0 at 1e6, all four at 1e7).
+    for k in range(4):
+        trial = run_trial(sample_operator(EnsembleConfig(seed=42), k).shifted(t))
+        assert trial.all_passed, (k, {n: r.detail for n, r in trial.families.items() if not r.passed})
+
+
 def test_report_bundles_everything():
     rep = report(period2_operator())
     assert rep.cap_spectrum == pytest.approx(1.0, rel=1e-10)
