@@ -11,10 +11,14 @@ that bracket, started at the Floquet eigenvalue of the edge
 (`floquet.band_edges_oracle`, called once per operator; a seed outside
 the piece starts at its midpoint): the k-th solution of D = +/-2 in
 sorted order lies in the k-th piece, doubled solutions included. So the
-period alone labels every edge with its target (`BandStructure.edge_labels`),
-and a band stores its two solved edges in ascending order. The
-eigenvalues only seed: a wrong one costs steps, never moves an edge, and
-fails the oracle comparison of `ensemble.run_trial`. A knot whose value
+period alone labels every edge with its target (`BandStructure.edge_labels`).
+The eigenvalues also pick the residual: beside a flat gap, an open gap
+whose two eigenvalues nearly coincide and whose float crossings scatter
+by noise over slope, a band solves both edges once with D - target
+evaluated exactly, and their order is checked; elsewhere it solves in
+floats and stores its edges in ascending order. A wrong eigenvalue costs
+steps, or float accuracy beside a flat gap it reads as wide, and fails
+the oracle comparison of `ensemble.run_trial`. A knot whose value
 does not clear the gap's target +/-2 by more than evaluation noise is
 either a touching point, where the slope is in noise too, or the edge of
 an open gap, which is moved to the gap's critical point. At a knot of
@@ -22,10 +26,7 @@ either kind, one exact rational evaluation arbitrates for both
 neighboring pieces: its sign alone, with no tolerance, tells a genuine
 touch (value on the target or on the band side) from an open gap,
 however shallow, and is the gap's closed flag: both edges of a closed
-gap are the knot. The two edges around a narrow open gap, whose flat
-crossings scatter by noise over slope in floats, are solved once more by
-the same Newton routine on their pieces, seeded at the float edges, with
-D - target evaluated exactly.
+gap are the knot.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class BandStructure:
     length is exactly 0.0. min_gap is the smallest open gap, +inf when
     every gap is closed, and None when p = 1 and no gap exists at all.
     floquet_eigenvalues is the (plus, minus) pair of `band_edges_oracle`
-    that seeded the edge solves.
+    that seeded the edge solves and picked their residuals.
     """
 
     bands: tuple[Interval, ...]
@@ -112,7 +113,7 @@ class BandStructure:
         D = +2 up, up = `gap_sign(p, n + 1)`, the sign of D on the gap
         above it, and the last band ends at +2.
         """
-        ups = (int(gap_sign(self.p, n)) for n in range(1, self.p + 1))
+        ups = (gap_sign(self.p, n) for n in range(1, self.p + 1))
         return tuple((-up, up) for up in ups)
 
     @property
@@ -273,43 +274,9 @@ def _exact_residual(c, target, x):
     return f, eval_discriminant_and_slope(c, x)[1]
 
 
-# Open gaps narrower than this fraction of the spectrum carry flat
-# crossings whose float edges scatter by eval-noise / slope; those edges
-# are solved again on the exact residual.
+# An open gap whose two Floquet eigenvalues lie closer than this fraction of
+# the spectrum is flat: the bands beside it solve on the exact residual.
 _FLAT_GAP_TRIGGER = 1e-4
-
-
-def _sharpen_flat_gap_edges(c, bands, knots, flags, tol):
-    """Re-solve the two edges around every narrow open gap on the exact residual.
-
-    flags are the closed-gap flags. Each edge is solved again by
-    `_newton_edge` on its own piece (knots n and n + 1 for band n), seeded
-    at its float edge, with D - target exact (`_exact_residual`); both
-    edges of gap n + 1 share its target 2 * `gap_sign(p, n + 1)`. The gap's
-    knot bounds both pieces, so the two edges stay on its two sides even
-    where the true gap is narrower than the float edges' scatter. Raises
-    EdgeCountMismatch when a sharpened edge crosses the other edge of its
-    band: the float edge it passed is then wrong by more than the band is
-    long.
-    """
-    p = len(bands)
-    cut = _FLAT_GAP_TRIGGER * max(1.0, bands[-1].hi - bands[0].lo)
-    out = list(bands)
-    for n in range(p - 1):
-        if flags[n] or not out[n + 1].lo - out[n].hi < cut:
-            continue
-        rising = gap_sign(p, n + 1) > 0.0
-        residual = partial(_exact_residual, c, 2 if rising else -2)
-        hi_edge = _newton_edge(residual, knots[n], knots[n + 1], rising, out[n].hi, tol)
-        lo_edge = _newton_edge(residual, knots[n + 1], knots[n + 2], not rising, out[n + 1].lo, tol)
-        out[n] = Interval(out[n].lo, hi_edge)
-        out[n + 1] = Interval(lo_edge, out[n + 1].hi)
-    for n, band in enumerate(out):
-        if band.lo > band.hi:
-            raise EdgeCountMismatch(
-                f"band {n} inverted by exact edge sharpening: lower edge {band.lo} > upper edge {band.hi}"
-            )
-    return out
 
 
 def band_structure(d: DiscriminantData) -> BandStructure:
@@ -319,15 +286,17 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     the search interval. Exactly p bands are always returned. A gap is
     closed exactly when its knot touches (`_gap_knot`, an exact sign with
     no tolerance); it then appears as a zero-length gap, both edges the
-    knot, never as merged bands. The Floquet eigenvalues are computed once
-    and seed every edge solve.
+    knot, never as merged bands. The Floquet eigenvalues are computed once;
+    they seed every edge solve and pick its residual: gap j's edges are
+    eigenvalues j - 1 and j of its sign, and a band beside a flat gap solves
+    on `_exact_residual` and raises EdgeCountMismatch if inverted.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
     tol = _EDGE_RTOL * max(1.0, hi_bound - lo_bound)
 
     p = c.p
-    eigenvalues = band_edges_oracle(c)
+    plus, minus = eigenvalues = band_edges_oracle(c)
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     seeds = (lo_bound, *d.knots, hi_bound)
@@ -335,26 +304,34 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1):
         knots.append(_gap_knot(c, x, value, err, gap_sign(p, j), seeds[j - 1], seeds[j + 1], tol))
     knots.append((hi_bound, False))
+    flags = tuple(touching for _, touching in knots[1:-1])
+    cut = _FLAT_GAP_TRIGGER * max(1.0, max(plus[-1], minus[-1]) - min(plus[0], minus[0]))
+    flat = [False] * (p + 1)
+    for j in range(1, p):
+        same = plus if gap_sign(p, j) > 0 else minus
+        flat[j] = not flags[j - 1] and same[j] - same[j - 1] < cut
     bands: list[Interval] = []
-    seed_plus, seed_minus = eigenvalues
     for n in range(p):
         # By interlacing D has the sign -up at knot n and up at knot n + 1,
-        # so the edge of target 2 up lies toward knot n + 1.
+        # so the edge of target 2 up, the upper one, lies toward knot n + 1.
         (xl, touch_l), (xr, touch_r) = knots[n], knots[n + 1]
         up = gap_sign(p, n + 1)
-        rising = up > 0.0
-        seed_up, seed_down = (seed_plus[n], seed_minus[n]) if rising else (seed_minus[n], seed_plus[n])
-        e_up = xr if touch_r else _newton_edge(partial(_float_residual, c, 2.0 * up), xl, xr, rising, seed_up, tol)
-        e_down = xl if touch_l else _newton_edge(partial(_float_residual, c, -2.0 * up), xl, xr, rising, seed_down, tol)
-        e_plus, e_minus = (e_up, e_down) if rising else (e_down, e_up)
-        bands.append(Interval(e_plus, e_minus) if e_plus <= e_minus else Interval(e_minus, e_plus))
+        rising = up > 0
+        seed_up, seed_down = (plus[n], minus[n]) if rising else (minus[n], plus[n])
+        exact = flat[n] or flat[n + 1]
+        residual = partial(_exact_residual if exact else _float_residual, c)
+        hi = xr if touch_r else _newton_edge(partial(residual, 2 * up), xl, xr, rising, seed_up, tol)
+        lo = xl if touch_l else _newton_edge(partial(residual, -2 * up), xl, xr, rising, seed_down, tol)
+        if lo > hi:
+            if exact:
+                raise EdgeCountMismatch(f"band {n} inverted: lower edge {lo} > upper edge {hi}")
+            lo, hi = hi, lo
+        bands.append(Interval(lo, hi))
     for n in range(p - 1):
         if bands[n].hi > bands[n + 1].lo:
             raise EdgeCountMismatch(
                 f"band {n} upper edge {bands[n].hi} exceeds band {n + 1} lower edge {bands[n + 1].lo}"
             )
-    flags = tuple(touching for _, touching in knots[1:-1])
-    bands = _sharpen_flat_gap_edges(c, bands, [x for x, _ in knots], flags, tol)
     gaps = tuple(Interval(bands[n - 1].hi, bands[n].lo) for n in range(1, p))
     span = bands[-1].hi - bands[0].lo
     open_lengths = [g.length for g, closed in zip(gaps, flags) if not closed]

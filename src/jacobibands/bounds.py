@@ -97,7 +97,9 @@ def _pow_ratio(base_num: float, pow_num: int, base_den: float, pow_den: int) -> 
     """base_num**pow_num / base_den**pow_den via logs; +inf once it overflows."""
     if base_num == 0.0:
         return 0.0
-    log_ratio = pow_num * math.log(base_num) - pow_den * math.log(base_den)
+    if base_den == 0.0 and pow_den > 0:
+        return math.inf
+    log_ratio = pow_num * math.log(base_num) - (pow_den * math.log(base_den) if pow_den else 0.0)
     if log_ratio > _LOG_FLOAT_RANGE[1]:
         return math.inf
     return math.exp(log_ratio)

@@ -31,9 +31,9 @@ denominator through an lcm, and the cleared-denominator transfer product
 then runs in plain int arithmetic: no Fraction and no gcd inside the
 loop. The result stays an unreduced integer pair: reducing it costs a gcd
 on the full-size numerator, and callers need only its exact side of a
-rational (`trace_side`, by integer cross products) or, for the exact
-edge re-solve of `bands`, its quotient by the off-diagonal product
-rounded to a float once.
+rational (`trace_side`, by integer cross products) or, for the edge
+solves of `bands` beside a flat gap, its quotient by the off-diagonal
+product rounded to a float once.
 """
 
 from __future__ import annotations
@@ -287,9 +287,9 @@ def dirichlet_eigenvalues(c: PeriodicCoefficients) -> tuple[float, ...]:
     return tridiagonal_eigenvalues(c.b[1:], c.a[1 : c.p - 1])
 
 
-def gap_sign(p: int, j: int) -> float:
-    """Sign of the discriminant on the j-th gap (1-based) of a period-p operator."""
-    return 1.0 if (p - j) % 2 == 0 else -1.0
+def gap_sign(p: int, j: int) -> int:
+    """Sign of the discriminant on the j-th gap (1-based) of a period-p operator: 1 or -1."""
+    return 1 if (p - j) % 2 == 0 else -1
 
 
 def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
@@ -299,12 +299,14 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     (-1)^(p-j) and |D| >= 2, each within the float error bound.
 
     Raises NonFiniteEntry when a field of the operator's `scalar_summary`
-    is not finite, the off-diagonal product leaves the normal float range,
-    or a knot's value or error bound is not finite, and PropertyViolation
-    at the first knot that fails, at every period.
+    or the sum of its Gershgorin ends (twice the midpoint where an edge
+    solve starts) is not finite, the off-diagonal product leaves the
+    normal float range, or a knot's value or error bound is not finite,
+    and PropertyViolation at the first knot that fails, at every period.
     """
     summary = scalar_summary(c)
-    for name, value in vars(summary).items():
+    checked = {**vars(summary), "gershgorin_lo + gershgorin_hi": summary.gershgorin_lo + summary.gershgorin_hi}
+    for name, value in checked.items():
         if not math.isfinite(value):
             raise NonFiniteEntry(f"{name} = {value} is beyond the float range")
     log_product = math.fsum(math.log(x) for x in c.a)

@@ -10,13 +10,17 @@ eigenvalues with implicit QL iterations.
 
 The QL kernel (`tridiagonal_eigenvalues`) is shared: the band path uses
 it for the Dirichlet eigenvalues that serve as its knots. The band path
-also calls `band_edges_oracle` once per operator and starts each edge
-solve at its eigenvalue. At every period those eigenvalues only seed:
-each edge is still the one solution of discriminant = +/-2 in a bracket
-cut by the independent Dirichlet knots, each knot checked by the sign of
-the discriminant there, so a wrong eigenvalue costs Newton steps but not
-the edge, and shows as an edge mismatch when `ensemble.run_trial` compares
-the edges against the eigenvalues the BandStructure carries. The oracle
+also calls `band_edges_oracle` once per operator: each edge solve starts
+at its eigenvalue, and a band beside an open gap whose two eigenvalues
+nearly coincide solves on the exact residual. Each edge is still the one
+solution of discriminant = +/-2 in a bracket cut by the independent,
+checked Dirichlet knots, so a wrong eigenvalue costs Newton steps or
+float accuracy and fails the oracle comparison of `ensemble.run_trial`.
+All set to 0 on the first 300 seed-42 operators of each benchmark
+workload, they raise the exact evaluations from 1,835 to 42,849, edges
+within 1.4e-15 * s of numpy; eigenvalue k moved by 1e-3 * k reads every
+gap as wide, and the edges beside narrow gaps, solved in floats, land up
+to 2.3e-9 * s off numpy, inside the 1e-8 * s oracle tolerance. The oracle
 builds its own folded boundary-condition matrices, wrap entries included,
 and reduces them itself. A fault in the shared kernel shows either as a
 failed knot check or as an edge mismatch.

@@ -142,7 +142,8 @@ def potential_report(d: DiscriminantData, bs: BandStructure) -> PotentialReport:
         points.append((band.hi, lab_hi))
 
     cheb = offdiag_product(c) * max(values)
-    cap = math.exp((math.log(cheb) - math.log(2.0)) / d.p)
+    # both edges of a spectrum below float resolution can round to one float, and cheb to 0
+    cap = math.exp((math.log(cheb) - math.log(2.0)) / d.p) if cheb > 0.0 else 0.0
     geo = d.summary.geom_mean_a
     if abs(cap - geo) > _CAPACITY_RTOL * geo:
         raise CapacityMismatch(

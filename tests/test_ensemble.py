@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,9 @@ BEYOND_FLOAT_RANGE = [
     # a_0 / a_1 = 1e600 overflows in the transfer product: the knot's value
     # is -inf and its error bound nan
     ([1e300, 1e-300], [0.0, 0.0], "Dirichlet eigenvalue"),
+    # the Gershgorin ends are finite, but the midpoint of an edge solve
+    # overflowed, and Fraction(inf) raised OverflowError
+    ([1.0], [1e308], "gershgorin_lo + gershgorin_hi = inf"),
 ]
 
 
@@ -225,8 +229,19 @@ def test_scales_beyond_the_float_range_fail_the_discriminant(a, b, quantity):
     assert not t.families["discriminant"].passed
     assert quantity in t.families["discriminant"].detail
     assert all(r.detail.startswith("skipped") for n, r in t.families.items() if n != "discriminant")
-    with pytest.raises(NonFiniteEntry, match=quantity):
+    with pytest.raises(NonFiniteEntry, match=re.escape(quantity)):
         build_discriminant(new_periodic(a, b))
+
+
+@pytest.mark.parametrize("b", [1e16, 1e17, 1e20, 1e100])
+@pytest.mark.parametrize("p", [1, 2])
+def test_spectra_below_float_resolution_fail_a_family(p, b):
+    # Every edge rounds to b, so s is 0.0, and at p = 1 the Chebyshev number
+    # is too; their logs in bounds and potential once escaped run_trial as
+    # ValueError.
+    t = run_trial(new_periodic([1.0] * p, [b] * p))
+    assert not t.all_passed
+    json.dumps(trial_to_jsonable(t))
 
 
 def test_ensemble_aggregation_counts():
