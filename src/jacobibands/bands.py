@@ -52,7 +52,7 @@ from .errors import EdgeCountMismatch, NonConvergence
 from .floquet import band_edges_oracle
 
 # Edges match the Floquet eigenvalues to this times max(1, s) in the oracle
-# family of `ensemble.run_trial`; `potential._refine_value_exact` certifies
+# family of `ensemble.run_trial`; `potential._crossing_certified` certifies
 # a crossing no farther from an edge than this times max(1, search width).
 ORACLE_MATCH_RTOL = 1e-8
 

@@ -20,9 +20,8 @@ and `eval_discriminant_slope` repeat the same float operations in the
 same order, so their values are the same bit for bit, and add running
 forward-error bounds. Only the callers that read a bound call them: the
 knot check of `build_discriminant`, the knot arbitration of
-`bands._gap_knot`, the steep-edge certificate of
-`potential._refine_value_exact`, and the message of a failed alternation
-sign.
+`bands._gap_knot` and the steep-edge certificate of
+`potential._crossing_certified`.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once (and is cached) to integer

@@ -51,6 +51,10 @@ class EnsembleConfig:
 
 
 def validate_config(cfg: EnsembleConfig) -> None:
+    for name in ("trials", "p_min", "p_max"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigInvalid(f"{name} must be an int, got {value!r}")
     if cfg.trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {cfg.trials}")
     if not (1 <= cfg.p_min <= cfg.p_max):
@@ -144,15 +148,16 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
         report.families["capacity"] = FamilyResult(False, str(exc))
         report.families["alternation"] = FamilyResult(False, "skipped: capacity failed")
     except AlternationFailure as exc:
-        # potential_report accepts the capacity before it builds the
-        # alternation set, so capacity passed; its relative error is not
+        # potential_report accepts the capacity before it reads the edges'
+        # crossing records, so capacity passed; its relative error is not
         # returned and stays nan.
         report.families["capacity"] = FamilyResult(True)
         report.families["alternation"] = FamilyResult(False, str(exc))
     else:
         # potential_report raised CapacityMismatch unless the capacity
         # matched the geometric mean to 1e-9 relative, and
-        # AlternationFailure unless D had its label's sign at every extremum.
+        # AlternationFailure unless every edge had a record of D crossing
+        # its label's target there.
         report.potential = pot
         geo = data.summary.geom_mean_a
         report.capacity_rel_error = abs(pot.cap_spectrum - geo) / geo

@@ -41,7 +41,8 @@ class CapacityMismatch(JacobiBandsError):
 
 class AlternationFailure(JacobiBandsError):
     """The extremal set of the scaled discriminant is not a valid
-    alternating set."""
+    alternating set: a band edge has no record that the discriminant
+    crosses there the target +/-2 its label gives it."""
 
 
 class ConfigInvalid(JacobiBandsError):

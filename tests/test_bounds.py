@@ -75,6 +75,11 @@ def test_period2_classical_values(period2_report):
     assert all(rec.satisfied for rec in rep.records)
 
 
+def test_unknown_record_name_raises_key_error(period2_report):
+    with pytest.raises(KeyError, match="no_such_record"):
+        period2_report.by_name("no_such_record")
+
+
 def test_period2_log_sum_lower_closed_form(period2_report):
     r = period2_report.by_name("log_sum_lower")
     s = 2.0 * SQRT5

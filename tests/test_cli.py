@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jacobibands
 from jacobibands import new_periodic
 from jacobibands.cli import main
 from jacobibands.ensemble import EnsembleConfig, run_trial, sample_operator, trial_to_jsonable
@@ -168,11 +171,15 @@ def test_non_finite_ensemble_range_is_a_clean_error(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the package under test, wherever this process found it.
     op = write_operator(tmp_path, [1.0], [0.0])
+    root = str(Path(jacobibands.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "jacobibands", "verify", str(op)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "ALL PASSED" in proc.stdout

@@ -81,6 +81,14 @@ def test_config_validation():
         run_ensemble(EnsembleConfig(trials=0))
 
 
+@pytest.mark.parametrize("name, value", [("trials", 2.5), ("p_min", 2.5), ("p_max", 3.5), ("trials", True)])
+def test_config_counts_must_be_ints(name, value):
+    # A float count raised TypeError or ValueError out of run_ensemble, and
+    # trials=True ran one trial.
+    with pytest.raises(ConfigInvalid, match=f"{name} must be an int"):
+        run_ensemble(EnsembleConfig(**{name: value}))
+
+
 def test_run_trial_period2_all_pass():
     report = run_trial(new_periodic([1.0, 1.0], [0.0, 2.0]))
     assert report.all_passed, {k: v.detail for k, v in report.families.items() if not v.passed}
@@ -136,12 +144,12 @@ def test_run_trial_records_every_family():
 
 
 def test_alternation_failure_is_filed_under_alternation(monkeypatch):
-    def wrong_sign(d, bs):
-        raise AlternationFailure("sign of discriminant at extremum 0.5 is -1, expected +1")
+    def no_crossing(d, bs):
+        raise AlternationFailure("no crossing of D = +2 certified at edge 0.5 (float D -1.0)")
 
-    monkeypatch.setattr(ensemble, "potential_report", wrong_sign)
+    monkeypatch.setattr(ensemble, "potential_report", no_crossing)
     report = run_trial(new_periodic([1.0, 1.0], [0.0, 2.0]))
-    assert report.families["alternation"].detail.startswith("sign of discriminant at extremum")
+    assert report.families["alternation"].detail.startswith("no crossing of D = +2")
     assert not report.families["alternation"].passed
     assert report.families["capacity"].passed
     assert report.potential is None
@@ -203,7 +211,7 @@ def test_touching_report_bytes_are_pinned():
     for a, b in ops:
         text = json.dumps(trial_to_jsonable(run_trial(new_periodic(a, b))), sort_keys=True)
         digest.update(text.encode() + b"\n")
-    assert digest.hexdigest() == "6f84ac01f4159c5e7d0f5d20de5f93c2917ca317a3096f6c6ce81152ea8db866"
+    assert digest.hexdigest() == "d3ff1a4185f3b473970561d96caf3d565806ab3c82190d878677946fd37f0ee0"
 
 
 # Operators whose derived scales leave the float range: a Gershgorin end,
