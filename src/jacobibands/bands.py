@@ -26,7 +26,9 @@ either kind, one exact rational evaluation arbitrates for both
 neighboring pieces: its sign alone, with no tolerance, tells a genuine
 touch (value on the target or on the band side) from an open gap,
 however shallow, and is the gap's closed flag: both edges of a closed
-gap are the knot.
+gap are the knot. The same evaluation read against the opposite target
+catches a knot that lies across a band, in a gap of the other sign,
+and raises PropertyViolation there.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .discriminant import (
@@ -43,12 +44,10 @@ from .discriminant import (
     eval_discriminant_bounded,
     eval_discriminant_slope,
     gap_sign,
-    offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
-    trace_side,
 )
-from .errors import EdgeCountMismatch, NonConvergence
+from .errors import EdgeCountMismatch, NonConvergence, PropertyViolation
 from .floquet import band_edges_oracle
 
 # Edges match the Floquet eigenvalues to this times max(1, s) in the oracle
@@ -138,18 +137,24 @@ class BandStructure:
         return min(b.length for b in self.bands)
 
 
-def _touches(c, x, target):
-    """Exact arbitration at a knot whose float value does not clearly clear its target.
+def _touches(c, x, j):
+    """Exact arbitration at knot x of gap j, whose float value does not clearly clear its target.
 
-    Evaluates the discriminant minus target exactly. A value at the target
-    or on the band side means a touching point (the knot, a Dirichlet
-    eigenvalue or a searched critical point, carries position error
-    ~1e-12 at most, which perturbs its value only at order curvature *
-    1e-24). A value strictly beyond the target, however slightly, means an
-    open gap.
+    One exact quotient D(x) = N / Q is read against both targets of the
+    gap's sign s. A value at the gap's target 2s or on the band side
+    means a touching point (the knot, a Dirichlet eigenvalue or a
+    searched critical point, carries position error ~1e-12 at most, which
+    perturbs its value only at order curvature * 1e-24). A value strictly
+    beyond 2s, however slightly, means an open gap. A value strictly
+    beyond the opposite target -2s puts the knot in a gap of the other
+    sign, across a band from its own: PropertyViolation.
     """
-    side = trace_side(scaled_trace_exact(c, x), Fraction(target) * offdiag_product_exact(c))
-    return side == 0 or (side > 0) != (target > 0)
+    s = gap_sign(c.p, j)
+    target = 2 * s
+    n, q = scaled_trace_exact(c, x)
+    if s * (n + target * q) < 0:
+        raise PropertyViolation(f"knot {x} of gap {j} lies across a band: exact D is beyond {-target:+d}")
+    return s * (n - target * q) <= 0
 
 
 def _clearly_beyond(value, err, s):
@@ -158,8 +163,8 @@ def _clearly_beyond(value, err, s):
     return s * (value - target) > 4.0 * err + 1e-14 * (1.0 + abs(target))
 
 
-def _gap_knot(c, x, value, err, s, left, right, tol):
-    """Knot of a gap with sign s, from its Dirichlet eigenvalue x, and whether it touches.
+def _gap_knot(c, x, value, err, j, left, right, tol):
+    """Knot of gap j, from its Dirichlet eigenvalue x, and whether it touches.
 
     left and right are the neighbouring Dirichlet eigenvalues (or the ends
     of the search interval). Returns (knot, touching). A value clearly
@@ -172,6 +177,7 @@ def _gap_knot(c, x, value, err, s, left, right, tol):
     is the gap's closed flag: touching bands share the knot as their
     edge, so the gap is closed exactly when both its edges are one float.
     """
+    s = gap_sign(c.p, j)
     if _clearly_beyond(value, err, s):
         return x, False
     _, _, slope, slope_err = eval_discriminant_slope(c, x)
@@ -179,7 +185,7 @@ def _gap_knot(c, x, value, err, s, left, right, tol):
         x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
         if _clearly_beyond(*eval_discriminant_bounded(c, x), s):
             return x, False
-    return x, _touches(c, x, 2.0 * s)
+    return x, _touches(c, x, j)
 
 
 def _gap_critical_point(c, x, s, slope, stop, tol):
@@ -258,17 +264,15 @@ def _float_residual(c, target, x):
 def _exact_residual(c, target, x):
     """Residual of `_newton_edge`: D(x) - target exact and rounded to a float once, D'(x) in floats.
 
-    target is the int 2 or -2. The exact trace n / d of
-    `scaled_trace_exact` over the exact off-diagonal product is D, so
-    D - target is one quotient of integers, which int division rounds
-    correctly, with no gcd. A quotient beyond the float range is +/-inf,
-    as the float evaluator would give.
+    target is the int 2 or -2. With D = N / Q from `scaled_trace_exact`,
+    D - target is the quotient (N - target * Q) / Q, which int division
+    rounds correctly, with no gcd. A quotient beyond the float range is
+    +/-inf, as the float evaluator would give.
     """
-    product = offdiag_product_exact(c)
-    n, d = scaled_trace_exact(c, x)
-    top = n * product.denominator - target * d * product.numerator
+    n, q = scaled_trace_exact(c, x)
+    top = n - target * q
     try:
-        f = top / (d * product.numerator)
+        f = top / q
     except OverflowError:
         f = math.inf if top > 0 else -math.inf
     return f, eval_discriminant_and_slope(c, x)[1]
@@ -302,7 +306,7 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     seeds = (lo_bound, *d.knots, hi_bound)
     knots = [(lo_bound, False)]
     for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1):
-        knots.append(_gap_knot(c, x, value, err, gap_sign(p, j), seeds[j - 1], seeds[j + 1], tol))
+        knots.append(_gap_knot(c, x, value, err, j, seeds[j - 1], seeds[j + 1], tol))
     knots.append((hi_bound, False))
     flags = tuple(touching for _, touching in knots[1:-1])
     cut = _FLAT_GAP_TRIGGER * max(1.0, max(plus[-1], minus[-1]) - min(plus[0], minus[0]))

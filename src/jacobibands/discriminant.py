@@ -24,15 +24,16 @@ knot check of `build_discriminant`, the knot arbitration of
 `potential._crossing_certified`.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
-rational, so one operator converts once (and is cached) to integer
-numerators over a common denominator. A point t = T/D joins that
-denominator through an lcm, and the cleared-denominator transfer product
-then runs in plain int arithmetic: no Fraction and no gcd inside the
-loop. The result stays an unreduced integer pair: reducing it costs a gcd
-on the full-size numerator, and callers need only its exact side of a
-rational (`trace_side`, by integer cross products) or, for the edge
-solves of `bands` beside a flat gap, its quotient by the off-diagonal
-product rounded to a float once.
+rational, so one operator converts once to integer numerators over a
+common denominator; that conversion is the one cache. A point t = T/D
+joins that denominator through an lcm, and the cleared-denominator
+transfer product then runs in plain int arithmetic: no Fraction and no
+gcd inside the loop. The result is D itself as one unreduced integer
+quotient N / Q, Q > 0 the product of the cleared off-diagonal numerators.
+Reducing it costs a gcd on the full-size numerator, and no caller needs
+that: against an int target, the exact side is the sign of the int
+N - target * Q, and the edge solves of `bands` beside a flat gap take
+that int over Q, rounded to a float once.
 """
 
 from __future__ import annotations
@@ -220,23 +221,17 @@ def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[
     return den, tuple(nums[: c.p]), tuple(nums[c.p :])
 
 
-@functools.lru_cache(maxsize=4)
-def offdiag_product_exact(c: PeriodicCoefficients) -> Fraction:
-    """Exact product of the off-diagonal floats as a rational, cached like `_integer_form`."""
-    den, a, _ = _integer_form(c)
-    return Fraction(math.prod(a), den**c.p)
-
-
 def scaled_trace_exact(c: PeriodicCoefficients, t) -> tuple[int, int]:
-    """Exact trace of the product of the cleared-denominator transfer steps.
+    """Exact discriminant at t as an unreduced integer quotient (N, Q): D(t) = N / Q.
 
     Each step (1/a_n) * [[t - b_n, -a_{n-1}], [a_n, 0]] contributes its
-    1/a_n to a common prefactor, so this trace equals the discriminant
-    times prod(a). With t = T/D and the operator's integer form over den,
-    every step times L = lcm(den, D) is an integer matrix, so the product
-    is an integer matrix over L^p. t may be a float, an int or any
-    rational. Returns (numerator, denominator) with denominator L^p > 0,
-    not reduced to lowest terms.
+    1/a_n to a common prefactor. With t = T/D and the operator's integer
+    form over den, every step times L = lcm(den, D) is an integer matrix
+    whose off-diagonal numerator is A_n = L * a_n, so the trace N of the
+    integer product over Q = prod(A_n) > 0 is D. t may be a float, an int
+    or any rational. Against an int target the sign of D - target is the
+    sign of N - target * Q, and its float is (N - target * Q) / Q,
+    rounded once by int division.
     """
     den, a_num, b_num = _integer_form(c)
     t = Fraction(t)
@@ -256,25 +251,17 @@ def scaled_trace_exact(c: PeriodicCoefficients, t) -> tuple[int, int]:
             an * m00,
             an * m01,
         )
-    return m00 + m11, scale**c.p
+    return m00 + m11, math.prod(a_num)
 
 
 def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
     """Exact rational discriminant value at a rational point t.
 
     Floats convert to exact dyadic rationals, so this is an arbitrary-
-    precision oracle for the float paths. The work is p steps of integer
-    multiplication on numbers of about p * log2(lcm of denominators) bits,
-    plus one gcd to reduce the result and one division by the exact
-    off-diagonal product.
+    precision oracle for the float paths: `scaled_trace_exact` reduced
+    by one gcd.
     """
-    return Fraction(*scaled_trace_exact(c, t)) / offdiag_product_exact(c)
-
-
-def trace_side(s, y: Fraction) -> int:
-    """Sign of s - y for a `scaled_trace_exact` pair s: -1, 0 or 1, by an integer cross product."""
-    n = s[0] * y.denominator - y.numerator * s[1]
-    return (n > 0) - (n < 0)
+    return Fraction(*scaled_trace_exact(c, t))
 
 
 def dirichlet_eigenvalues(c: PeriodicCoefficients) -> tuple[float, ...]:

@@ -11,6 +11,7 @@ deterministic and order-free.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -55,6 +56,12 @@ def validate_config(cfg: EnsembleConfig) -> None:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigInvalid(f"{name} must be an int, got {value!r}")
+    for name in ("a_lo", "a_hi", "b_lo", "b_hi"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigInvalid(f"non-finite range endpoint {name} = {value!r}")
     if cfg.trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {cfg.trials}")
     if not (1 <= cfg.p_min <= cfg.p_max):
@@ -63,9 +70,6 @@ def validate_config(cfg: EnsembleConfig) -> None:
         raise ConfigInvalid(f"need 0 < a_lo <= a_hi, got [{cfg.a_lo}, {cfg.a_hi}]")
     if not (cfg.b_lo <= cfg.b_hi):
         raise ConfigInvalid(f"need b_lo <= b_hi, got [{cfg.b_lo}, {cfg.b_hi}]")
-    for x in (cfg.a_lo, cfg.a_hi, cfg.b_lo, cfg.b_hi):
-        if not math.isfinite(x):
-            raise ConfigInvalid(f"non-finite range endpoint {x!r}")
 
 
 def sample_operator(cfg: EnsembleConfig, trial_index: int) -> PeriodicCoefficients:

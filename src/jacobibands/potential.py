@@ -34,10 +34,8 @@ from .discriminant import (
     DiscriminantData,
     eval_discriminant,
     eval_discriminant_bounded,
-    offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
-    trace_side,
 )
 from .errors import AlternationFailure, CapacityMismatch
 
@@ -70,15 +68,17 @@ def potential_to_jsonable(pot: PotentialReport) -> dict:
 
 
 def _crossing_certified(d: DiscriminantData, x: float, target: int) -> bool:
-    """Whether D crosses target in [x - h, x + h], certified at x +/- h.
+    """Whether D crosses the int target in [x - h, x + h], certified at its float ends.
 
     Steep edges leave no float whose value is near the target, but at a
     true edge D is exactly the target: what needs certifying is only that
-    D = target somewhere in [x - h, x + h]. At each end the float value
-    with its running error bound decides the side of the target wherever
-    they differ by more than the bound. Only a step where the bound cannot
-    decide an end takes the exact signs of both ends instead. Sides that
-    differ, by either test, certify the crossing. h widens by 8 from 1e-13
+    D = target somewhere between the two floats x - h and x + h. At each
+    end the float value with its running error bound decides the side of
+    the target wherever they differ by more than the bound. Only a step
+    where the bound cannot decide an end takes the exact signs at the
+    same two floats instead, each the sign of N - target * Q for the
+    quotient D = N / Q of `scaled_trace_exact`. Sides that differ, by
+    either test, certify the crossing. h widens by 8 from 1e-13
     of |x| (at least 1e-15) until the signs differ, but stays at most
     `ORACLE_MATCH_RTOL` of the search interval, the start included: a
     crossing farther away belongs to another edge. A touching edge or a
@@ -95,10 +95,8 @@ def _crossing_certified(d: DiscriminantData, x: float, target: int) -> bool:
             if (v_lo > target) != (v_hi > target):
                 return True
         else:
-            tgt = target * offdiag_product_exact(c)
-            side_lo = trace_side(scaled_trace_exact(c, Fraction(x) - Fraction(h)), tgt)
-            side_hi = trace_side(scaled_trace_exact(c, Fraction(x) + Fraction(h)), tgt)
-            if side_lo * side_hi <= 0:
+            (n_lo, q_lo), (n_hi, q_hi) = scaled_trace_exact(c, lo), scaled_trace_exact(c, hi)
+            if (n_lo - target * q_lo) * (n_hi - target * q_hi) <= 0:
                 return True
         h *= 8
     return False

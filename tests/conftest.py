@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -119,6 +120,29 @@ def reference_discriminant(c):
 def reference_critical_points(c):
     """The p - 1 critical points of D, sorted: numpy roots of the expansion's derivative."""
     return sorted(float(x.real) for x in reference_discriminant(c).deriv().roots())
+
+
+def fraction_discriminant(c, t):
+    """D(t) in Fraction arithmetic, the oracle of `scaled_trace_exact`.
+
+    The cleared-denominator transfer product (steps [[t - b_n, -a_{n-1}],
+    [a_n, 0]]) has trace prod(a) * D(t); its quotient by prod(a) is D(t).
+    """
+    t = Fraction(t)
+    a = [Fraction(x) for x in c.a]
+    b = [Fraction(x) for x in c.b]
+    m00, m01, m10, m11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for n in range(c.p):
+        s00 = t - b[n]
+        s01 = -a[n - 1]
+        an = a[n]
+        m00, m01, m10, m11 = (
+            s00 * m00 + s01 * m10,
+            s00 * m01 + s01 * m11,
+            an * m00,
+            an * m01,
+        )
+    return (m00 + m11) / math.prod(a)
 
 
 def count_exact_calls(monkeypatch, module):

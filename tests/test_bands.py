@@ -2,12 +2,14 @@ import dataclasses
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from jacobibands import (
     EdgeCountMismatch,
     NonConvergence,
+    PropertyViolation,
     band_structure,
     bands_to_csv,
     build_discriminant,
@@ -17,7 +19,12 @@ from jacobibands import bands as bands_mod
 from jacobibands import discriminant as discriminant_mod
 from jacobibands import ensemble as ensemble_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
-from jacobibands.discriminant import DiscriminantData, eval_discriminant_and_slope, eval_discriminant_bounded
+from jacobibands.discriminant import (
+    DiscriminantData,
+    eval_discriminant_and_slope,
+    eval_discriminant_bounded,
+    gap_sign,
+)
 from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
 
 from conftest import (
@@ -25,6 +32,7 @@ from conftest import (
     blocks,
     count_exact_calls,
     count_float_calls,
+    fraction_discriminant,
     free_operator,
     numpy_edges,
     period2_operator,
@@ -580,6 +588,64 @@ def test_exact_residual_beyond_the_float_range():
     c = new_periodic([1e-100] * 3, [0.0] * 3)
     assert bands_mod._exact_residual(c, 2, 1e3)[0] == math.inf
     assert bands_mod._exact_residual(c, 2, -1e3)[0] == -math.inf
+
+
+def test_exact_decisions_beyond_the_float_range(monkeypatch):
+    # The only seed-1 long-period operator whose knots reach the exact
+    # touch decision: two decisions and eight exact-residual evaluations,
+    # each quotient N / Q with Q past 2^3000. Every exact value equals the
+    # Fraction oracle, and each decision is its side of the gap's target.
+    c = sample_operator(P60, 1)
+    inner, inner_touches = bands_mod.scaled_trace_exact, bands_mod._touches
+    quotients, decisions = [], []
+
+    def recorded(c, t):
+        quotients.append((t, inner(c, t)))
+        return quotients[-1][1]
+
+    def decided(c, x, j):
+        decisions.append((x, j, inner_touches(c, x, j)))
+        return decisions[-1][2]
+
+    monkeypatch.setattr(bands_mod, "scaled_trace_exact", recorded)
+    monkeypatch.setattr(bands_mod, "_touches", decided)
+    bs = band_structure(build_discriminant(c))
+    assert len(quotients) == 10 and len(decisions) == 2
+    for t, (n, q) in quotients:
+        assert q > 2**3000 and Fraction(n, q) == fraction_discriminant(c, t)
+    for x, j, touching in decisions:
+        s = gap_sign(c.p, j)
+        assert touching == (s * (fraction_discriminant(c, x) - 2 * s) <= 0)
+    for x, y in zip(bs.edges, numpy_edges(c)):
+        assert abs(x - y) <= 1e-12 * max(1.0, bs.s)
+
+
+def test_knot_across_a_band_is_a_typed_error():
+    # p = 3: gap 1 has sign +1 and gap 2 sign -1. At a point inside gap 2,
+    # D is beyond -2, the opposite target of gap 1: as gap 1's knot it lies
+    # across a band, as gap 2's it opens that gap. Inside a band it touches.
+    c = new_periodic([1.0, 0.5, 2.0], [0.3, -1.0, 1.5])
+    bs = band_structure(build_discriminant(c))
+    inside_gap2 = 0.5 * (bs.gaps[1].lo + bs.gaps[1].hi)
+    with pytest.raises(PropertyViolation, match=f"knot {inside_gap2} of gap 1 lies across a band"):
+        bands_mod._touches(c, inside_gap2, 1)
+    assert not bands_mod._touches(c, inside_gap2, 2)
+    inside_band1 = 0.5 * (bs.bands[1].lo + bs.bands[1].hi)
+    assert bands_mod._touches(c, inside_band1, 1) and bands_mod._touches(c, inside_band1, 2)
+
+
+def test_long_period_knot_across_a_band_fails_the_bands_family():
+    # Operator 0 at p = 100 has float Dirichlet knots that lie across a
+    # band from their gap. Read as touches they closed an open gap, and
+    # only the oracle family caught the wrong edges; the exact value beyond
+    # the opposite target now fails the bands family with a typed error.
+    c = sample_operator(EnsembleConfig(seed=1, p_min=100, p_max=100, a_lo=0.5, a_hi=2.0), 0)
+    t = run_trial(c)
+    assert t.families["discriminant"].passed
+    assert "lies across a band" in t.families["bands"].detail
+    across = r"knot \S+ of gap \d+ lies across a band: exact D is beyond [+-]2"
+    with pytest.raises(PropertyViolation, match=across):
+        band_structure(build_discriminant(c))
 
 
 def test_short_blocks_pass_every_family():

@@ -12,17 +12,14 @@ from jacobibands import (
     scalar_summary,
 )
 from jacobibands import discriminant as discriminant_mod
-from jacobibands.coefficients import offdiag_product
 from jacobibands.bands import band_structure
 from jacobibands.discriminant import (
     eval_discriminant,
     eval_discriminant_and_slope,
     eval_discriminant_bounded,
     eval_discriminant_slope,
-    offdiag_product_exact,
     scaled_trace_exact,
     search_interval,
-    trace_side,
 )
 from jacobibands.ensemble import EnsembleConfig, sample_operator
 from jacobibands.floquet import band_edges_oracle
@@ -31,6 +28,7 @@ from numpy.polynomial import Polynomial
 
 from conftest import (
     blocks,
+    fraction_discriminant,
     free_operator,
     period2_operator,
     reference_critical_points,
@@ -128,9 +126,10 @@ def test_leading_coefficient_identity():
             [rng.uniform(-4, 4) for _ in range(p)],
         )
         build_discriminant(c)
+        product = math.prod(Fraction(x) for x in c.a)
 
         def monic(t):
-            return Fraction(*scaled_trace_exact(c, t))
+            return Fraction(*scaled_trace_exact(c, t)) * product
 
         assert forward_difference(monic, p) == math.factorial(p)
         assert forward_difference(monic, p + 1) == 0
@@ -189,22 +188,18 @@ def test_exact_evaluator_is_consistent():
     assert points > 12_000
 
 
-def test_scaled_trace_matches_discriminant_times_product():
+def test_exact_quotient_decides_sides_against_int_targets():
+    # D = N / Q with Q > 0, unreduced: the sign of N - target * Q is the
+    # side of an int target, and (N - target * Q) / Q rounds D - target once.
     c = sample_operator(EnsembleConfig(trials=1, seed=21), 0)
-    t = 0.73
-    lhs = Fraction(*scaled_trace_exact(c, t))
-    rhs = eval_discriminant_exact(c, t) * offdiag_product_exact(c)
-    assert lhs == rhs
-    assert offdiag_product(c) == pytest.approx(float(offdiag_product_exact(c)), rel=1e-13)
-
-
-def test_trace_pair_helpers_match_fractions():
-    # unreduced pairs, as scaled_trace_exact returns them
-    for s in [(6, 4), (-6, 4), (3 * 2**80, 2**81), (0, 8)]:
-        v = Fraction(*s)
-        for y in [Fraction(3, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(0)]:
-            sign = (v > y) - (v < y)
-            assert trace_side(s, y) == sign
+    for t in (0.73, -1.5, Fraction(1, 3), 4):
+        n, q = scaled_trace_exact(c, t)
+        value = fraction_discriminant(c, t)
+        assert q > 0
+        assert Fraction(n, q) == value == eval_discriminant_exact(c, t)
+        for target in (-2, 2):
+            assert ((n - target * q) > 0) - ((n - target * q) < 0) == ((value > target) - (value < target))
+            assert (n - target * q) / q == float(value - target)
 
 
 def test_cyclic_shift_leaves_discriminant_unchanged():
@@ -237,25 +232,6 @@ def test_scale_covariance_on_grid():
     d1 = build_discriminant(c.scaled(factor))
     for t in [-2.0, -0.5, 0.0, 1.0, 3.0]:
         assert eval_discriminant_exact(d1.coeffs, t * factor) == eval_discriminant_exact(d0.coeffs, t)
-
-
-def fraction_scaled_trace(c, t):
-    """Cleared-denominator transfer product in Fraction arithmetic: the oracle."""
-    t = Fraction(t)
-    a = [Fraction(x) for x in c.a]
-    b = [Fraction(x) for x in c.b]
-    m00, m01, m10, m11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
-    for n in range(c.p):
-        s00 = t - b[n]
-        s01 = -a[n - 1]
-        an = a[n]
-        m00, m01, m10, m11 = (
-            s00 * m00 + s01 * m10,
-            s00 * m01 + s01 * m11,
-            an * m00,
-            an * m01,
-        )
-    return m00 + m11
 
 
 def refiner_midpoints(x, depth):
@@ -295,9 +271,8 @@ def test_integer_kernel_matches_fraction_oracle():
     for k in range(len(points[operators[0]])):
         for c in operators:
             t = points[c][k]
-            assert Fraction(*scaled_trace_exact(c, t)) == fraction_scaled_trace(c, t), (c.p, t)
-    for c in operators:
-        assert offdiag_product_exact(c) == math.prod(Fraction(x) for x in c.a)
+            n, q = scaled_trace_exact(c, t)
+            assert q > 0 and Fraction(n, q) == fraction_discriminant(c, t), (c.p, t)
 
 
 def test_slope_evaluation_matches_the_expansion():

@@ -77,6 +77,14 @@ def test_config_validation():
         validate_config(EnsembleConfig(b_lo=1.0, b_hi=-1.0))
     with pytest.raises(ConfigInvalid, match="non-finite"):
         validate_config(EnsembleConfig(a_hi=math.inf))
+    # A str or None endpoint raised TypeError from the range comparisons,
+    # and bool endpoints were accepted and ran.
+    bad = [("a_lo", "1"), ("b_hi", None), ("a_lo", True), ("a_hi", "2"), ("b_lo", False), ("b_hi", True)]
+    for name, value in bad:
+        with pytest.raises(ConfigInvalid, match=f"{name} must be a real number"):
+            validate_config(EnsembleConfig(**{name: value}))
+    with pytest.raises(ConfigInvalid, match="b_lo must be a real number"):
+        validate_config(EnsembleConfig(b_lo=False, b_hi=True))
     with pytest.raises(ConfigInvalid):
         run_ensemble(EnsembleConfig(trials=0))
 

@@ -14,10 +14,10 @@ from jacobibands import (
 )
 from jacobibands import potential as potential_mod
 from jacobibands.bands import Interval
-from jacobibands.discriminant import offdiag_product_exact, scaled_trace_exact, trace_side
+from jacobibands.discriminant import scaled_trace_exact
 from jacobibands.ensemble import EnsembleConfig, run_trial, sample_operator
 
-from conftest import count_exact_calls, free_operator, period2_operator
+from conftest import count_exact_calls, fraction_discriminant, free_operator, period2_operator
 
 SQRT5 = math.sqrt(5.0)
 
@@ -255,7 +255,9 @@ def test_float_certificate_agrees_with_exact_signs(monkeypatch):
         if all(abs(value - target) > err for _, _, value, err in ends):
             sides = [math.copysign(1, value - target) for _, _, value, err in ends]
             for (c, t, _, _), side in zip(ends, sides):
-                assert trace_side(scaled_trace_exact(c, t), target * offdiag_product_exact(c)) == side
+                n, q = scaled_trace_exact(c, t)
+                assert q > 0 and Fraction(n, q) == fraction_discriminant(c, t)
+                assert math.copysign(1, n - target * q) == side
             certified += sides[0] != sides[1]
     assert certified > 300
 
