@@ -1,34 +1,32 @@
 """Band-gap structure as the preimage of [-2, 2] under the discriminant.
 
-The knots are the p - 1 Dirichlet eigenvalues, one in the closure of
-each gap; with the two ends of the padded Gershgorin interval they cut
-the line into p pieces, each holding exactly one band. Interlacing fixes
-the sign of the discriminant at every knot and at both ends, so the signs
-of discriminant -/+ 2 at the ends of each piece are known without
-evaluating anything there; each changes sign on the piece exactly once.
-Each of the 2p edges is a Newton solve safeguarded by bisection inside
-that bracket, started at the Floquet eigenvalue of the edge
-(`floquet.band_edges_oracle`, called once per operator; a seed outside
-the piece starts at its midpoint): the k-th solution of D = +/-2 in
-sorted order lies in the k-th piece, doubled solutions included. So the
-period alone labels every edge with its target (`BandStructure.edge_labels`).
-The eigenvalues also pick the residual: beside a flat gap, an open gap
-whose two eigenvalues nearly coincide and whose float crossings scatter
-by noise over slope, a band solves both edges once with D - target
-evaluated exactly, and their order is checked; elsewhere it solves in
-floats and stores its edges in ascending order. A wrong eigenvalue costs
-steps, or float accuracy beside a flat gap it reads as wide, and fails
-the oracle comparison of `ensemble.run_trial`. A knot whose value
-does not clear the gap's target +/-2 by more than evaluation noise is
-either a touching point, where the slope is in noise too, or the edge of
-an open gap, which is moved to the gap's critical point. At a knot of
-either kind, one exact rational evaluation arbitrates for both
-neighboring pieces: its sign alone, with no tolerance, tells a genuine
-touch (value on the target or on the band side) from an open gap,
-however shallow, and is the gap's closed flag: both edges of a closed
-gap are the knot. The same evaluation read against the opposite target
-catches a knot that lies across a band, in a gap of the other sign,
-and raises PropertyViolation there.
+The knots are the p - 1 Floquet gap midpoints of `build_discriminant`,
+one in the closure of each gap; with the two ends of the padded
+Gershgorin interval they cut the line into p pieces, each holding
+exactly one band. Interlacing fixes the sign of the discriminant at
+every knot and at both ends, so the signs of discriminant -/+ 2 at the
+ends of each piece are known without evaluating anything there; each
+changes sign on the piece exactly once. Each of the 2p edges is a Newton
+solve safeguarded by bisection inside that bracket, started at the
+Floquet eigenvalue of the edge (a seed outside the piece starts at its
+midpoint): the k-th solution of D = +/-2 in sorted order lies in the
+k-th piece, doubled solutions included. So the period alone labels every
+edge with its target (`BandStructure.edge_labels`). The eigenvalues also
+pick the residual: beside a flat gap, an open gap whose two eigenvalues
+nearly coincide and whose float crossings scatter by noise over slope, a
+band solves both edges once with D - target evaluated exactly, and their
+order is checked; elsewhere it solves in floats and stores its edges in
+ascending order. A knot whose bounded float value clears the gap's
+target +/-2 by more than evaluation noise opens its gap. Any other knot
+is decided by one exact rational evaluation, for both neighboring pieces:
+its sign alone, with no tolerance, tells a genuine touch (value on the
+target or on the band side) from an open gap, however shallow, and is
+the gap's closed flag: both edges of a closed gap are the knot. The same
+evaluation read against the opposite target catches a knot that lies
+across a band, in a gap of the other sign, and raises PropertyViolation
+there. The knots and the seeds come from the same eigenvalues, so a
+wrong eigenvalue fails a family: the knot check, this decision, or the
+oracle comparison of `ensemble.run_trial`.
 """
 
 from __future__ import annotations
@@ -41,13 +39,18 @@ from functools import partial
 from .discriminant import (
     DiscriminantData,
     eval_discriminant_and_slope,
-    eval_discriminant_bounded,
-    eval_discriminant_slope,
     gap_sign,
     scaled_trace_exact,
     search_interval,
 )
 from .errors import EdgeCountMismatch, NonConvergence, PropertyViolation
+
+# Bound by name only for the ("jacobibands.bands", "band_edges_oracle") and
+# ("jacobibands.bands", "eval_discriminant_bounded") entries of
+# perfbench/tracing.py TARGETS, which `Tracer.install` looks up:
+# build_discriminant calls both, and this module reads their results off
+# the DiscriminantData, so nothing here calls them.
+from .discriminant import eval_discriminant_bounded
 from .floquet import band_edges_oracle
 
 # Edges match the Floquet eigenvalues to this times max(1, s) in the oracle
@@ -63,8 +66,8 @@ _EDGE_RTOL = 1e-12
 # nothing calls it, so that "bands.float" span never opens.
 eval_discriminant_stable = None
 
-# Steps of `_gap_critical_point` and `_newton_edge`. Each reaches tol or
-# the float resolution floor in well under this many.
+# Steps of `_newton_edge`. It reaches tol or the float resolution floor in
+# well under this many.
 _STEP_BUDGET = 300
 
 
@@ -142,12 +145,12 @@ def _touches(c, x, j):
 
     One exact quotient D(x) = N / Q is read against both targets of the
     gap's sign s. A value at the gap's target 2s or on the band side
-    means a touching point (the knot, a Dirichlet eigenvalue or a
-    searched critical point, carries position error ~1e-12 at most, which
-    perturbs its value only at order curvature * 1e-24). A value strictly
-    beyond 2s, however slightly, means an open gap. A value strictly
-    beyond the opposite target -2s puts the knot in a gap of the other
-    sign, across a band from its own: PropertyViolation.
+    means a touching point (the knot, the midpoint of a double Floquet
+    eigenvalue, carries position error at the eigenvalues' float
+    accuracy, which moves its value only at second order, toward the
+    band). A value strictly beyond 2s, however slightly, means an open
+    gap. A value strictly beyond the opposite target -2s puts the knot in
+    a gap of the other sign, across a band from its own: PropertyViolation.
     """
     s = gap_sign(c.p, j)
     target = 2 * s
@@ -161,60 +164,6 @@ def _clearly_beyond(value, err, s):
     """Whether value is beyond the gap's target 2s by more than the evaluation noise err."""
     target = 2.0 * s
     return s * (value - target) > 4.0 * err + 1e-14 * (1.0 + abs(target))
-
-
-def _gap_knot(c, x, value, err, j, left, right, tol):
-    """Knot of gap j, from its Dirichlet eigenvalue x, and whether it touches.
-
-    left and right are the neighbouring Dirichlet eigenvalues (or the ends
-    of the search interval). Returns (knot, touching). A value clearly
-    beyond 2s keeps the knot, and the gap is open. Otherwise x is a
-    touching point, where the slope is in noise as well, or an edge of an
-    open gap, which the solvers of both neighbouring pieces could mistake
-    for their own crossing; the knot then moves to the gap's critical
-    point, and a value clearly beyond 2s there opens the gap too. Any
-    other knot is decided by its exact sign alone (`_touches`). touching
-    is the gap's closed flag: touching bands share the knot as their
-    edge, so the gap is closed exactly when both its edges are one float.
-    """
-    s = gap_sign(c.p, j)
-    if _clearly_beyond(value, err, s):
-        return x, False
-    _, _, slope, slope_err = eval_discriminant_slope(c, x)
-    if abs(slope) > 4.0 * slope_err:
-        x = _gap_critical_point(c, x, s, slope, left if s * slope < 0.0 else right, tol)
-        if _clearly_beyond(*eval_discriminant_bounded(c, x), s):
-            return x, False
-    return x, _touches(c, x, j)
-
-
-def _gap_critical_point(c, x, s, slope, stop, tol):
-    """Critical point of the gap with sign s, searched from x toward stop.
-
-    s * D grows from x toward stop, the next Dirichlet eigenvalue (or end
-    of the search interval) on that side. Between them a point is short
-    of the gap's critical point exactly while D keeps the gap sign and D'
-    keeps its sign at x (slope): past the critical point D' turns, and
-    where it turns back, beyond the next critical point, D has the other
-    gap's sign. So bisection keeps a short end and a beyond end, stop
-    being beyond by interlacing, and returns the short end once the two
-    are within tol or adjacent floats, or a midpoint where D' is 0.0.
-    """
-    sense = 1.0 if slope > 0.0 else -1.0
-    short, beyond = x, stop
-    for _ in range(_STEP_BUDGET):
-        lo, hi = min(short, beyond), max(short, beyond)
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or not lo < mid < hi:
-            return short
-        value, d = eval_discriminant_and_slope(c, mid)
-        if s * value > 0.0 and d == 0.0:
-            return mid
-        if s * value > 0.0 and sense * d > 0.0:
-            short = mid
-        else:
-            beyond = mid
-    raise NonConvergence(f"critical point budget exhausted between {short} and {beyond}")
 
 
 def _newton_edge(residual, lo, hi, rising, x, tol):
@@ -288,27 +237,27 @@ def band_structure(d: DiscriminantData) -> BandStructure:
 
     Edges are refined to absolute accuracy `_EDGE_RTOL` times the width of
     the search interval. Exactly p bands are always returned. A gap is
-    closed exactly when its knot touches (`_gap_knot`, an exact sign with
-    no tolerance); it then appears as a zero-length gap, both edges the
-    knot, never as merged bands. The Floquet eigenvalues are computed once;
-    they seed every edge solve and pick its residual: gap j's edges are
-    eigenvalues j - 1 and j of its sign, and a band beside a flat gap solves
-    on `_exact_residual` and raises EdgeCountMismatch if inverted.
+    closed exactly when its knot touches: its float value does not clear
+    the target, and `_touches`, an exact sign with no tolerance, decides
+    so. It then appears as a zero-length gap, both edges the knot, never as
+    merged bands. The Floquet eigenvalues the knots were built from seed
+    every edge solve and pick its residual: gap j's edges are eigenvalues
+    j - 1 and j of its sign, and a band beside a flat gap solves on
+    `_exact_residual` and raises EdgeCountMismatch if inverted.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
     tol = _EDGE_RTOL * max(1.0, hi_bound - lo_bound)
 
     p = c.p
-    plus, minus = eigenvalues = band_edges_oracle(c)
+    plus, minus = d.floquet_eigenvalues
     if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
-    seeds = (lo_bound, *d.knots, hi_bound)
-    knots = [(lo_bound, False)]
-    for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1):
-        knots.append(_gap_knot(c, x, value, err, j, seeds[j - 1], seeds[j + 1], tol))
-    knots.append((hi_bound, False))
-    flags = tuple(touching for _, touching in knots[1:-1])
+    flags = tuple(
+        not _clearly_beyond(value, err, gap_sign(p, j)) and _touches(c, x, j)
+        for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1)
+    )
+    knots = [(lo_bound, False), *zip(d.knots, flags), (hi_bound, False)]
     cut = _FLAT_GAP_TRIGGER * max(1.0, max(plus[-1], minus[-1]) - min(plus[0], minus[0]))
     flat = [False] * (p + 1)
     for j in range(1, p):
@@ -347,7 +296,7 @@ def band_structure(d: DiscriminantData) -> BandStructure:
         total_band_measure=math.fsum(b.length for b in bands),
         min_gap=min_gap,
         closed_gap_flags=flags,
-        floquet_eigenvalues=eigenvalues,
+        floquet_eigenvalues=d.floquet_eigenvalues,
     )
 
 

@@ -3,24 +3,24 @@
 The discriminant D is the trace of the one-period transfer-matrix
 product, a degree-p polynomial in the spectral parameter. The band
 pipeline never expands it: it evaluates D stably through the 2x2 matrix
-product, and takes its knots from the Dirichlet eigenvalues, the
-eigenvalues of the operator with site 0 deleted. By Cauchy interlacing
-the j-th of these p - 1 values lies in the closure of the j-th gap,
-where D has the sign (-1)^(p-j) and |D| >= 2 (van Moerbeke, Invent.
-Math. 37, 1976), so they cut the line into p pieces holding one band
-each. No stage expands D in the monomial basis, which is ill-conditioned
-from p of about 20 on. An exact rational evaluator backs up the float
-path where cancellation would otherwise dominate.
+product, and takes its knots from the Floquet eigenvalues
+(`floquet.band_edges_oracle`), the solutions of D = +2 and D = -2. The
+j-th gap runs between eigenvalues j - 1 and j of its sign, where D has
+the sign (-1)^(p-j) and |D| >= 2 (van Moerbeke, Invent. Math. 37, 1976),
+so their midpoint is a point of its closure, and the p - 1 midpoints cut
+the line into p pieces holding one band each. No stage expands D in the
+monomial basis, which is ill-conditioned from p of about 20 on. An exact
+rational evaluator backs up the float path where cancellation would
+otherwise dominate.
 
-Four float evaluators run the product. `eval_discriminant` gives D and
+Three float evaluators run the product. `eval_discriminant` gives D and
 `eval_discriminant_and_slope` gives D and D' (forward mode); the Newton
-edge solves, the critical-point search and the edge values of
-`potential` call these. `eval_discriminant_bounded`
-and `eval_discriminant_slope` repeat the same float operations in the
-same order, so their values are the same bit for bit, and add running
-forward-error bounds. Only the callers that read a bound call them: the
-knot check of `build_discriminant`, the knot arbitration of
-`bands._gap_knot` and the steep-edge certificate of
+edge solves and the edge values of `potential` call these.
+`eval_discriminant_bounded` repeats the same float operations in the
+same order, so its value is the same bit for bit, and adds a running
+forward-error bound. Only the callers that read a bound call it: the
+knot check of `build_discriminant`, whose bounds the touch decision of
+`bands.band_structure` reads as well, and the steep-edge certificate of
 `potential._crossing_certified`.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .coefficients import PeriodicCoefficients, ScalarSummary, scalar_summary
 from .errors import NonFiniteEntry, PropertyViolation
-from .floquet import tridiagonal_eigenvalues
+from .floquet import band_edges_oracle
 
 # unit roundoff with headroom; used by the running error bound
 _U = 2.3e-16
@@ -68,15 +68,18 @@ real_roots_in = None
 class DiscriminantData:
     """The operator plus the knots that split its spectrum into bands.
 
-    knots are the p - 1 Dirichlet eigenvalues, sorted; knot_values holds
-    `eval_discriminant_bounded` at each, as (value, error bound). summary
-    is the operator's `scalar_summary`, computed once for every stage.
+    floquet_eigenvalues is the (plus, minus) pair of `band_edges_oracle`.
+    knots holds, per gap, the midpoint of its two eigenvalues of the
+    gap's sign; knot_values holds `eval_discriminant_bounded` at each, as
+    (value, error bound). summary is the operator's `scalar_summary`,
+    computed once for every stage.
     """
 
     coeffs: PeriodicCoefficients
     summary: ScalarSummary
     knots: tuple[float, ...]
     knot_values: tuple[tuple[float, float], ...]
+    floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
     def p(self) -> int:
@@ -146,8 +149,8 @@ def eval_discriminant_and_slope(c: PeriodicCoefficients, t: float) -> tuple[floa
 
     Each step T = [[(t - b_n)/a_n, -a_{n-1}/a_n], [1, 0]] has the derivative
     T' = [[1/a_n, 0], [0, 0]], so the product's derivative follows
-    (T M)' = T' M + T M' in the same loop. The same float operations in
-    the same order as `eval_discriminant_slope`, without its bounds.
+    (T M)' = T' M + T M' in the same loop; D takes the same float
+    operations in the same order as `eval_discriminant`.
     """
     a, b = c.a, c.b
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
@@ -163,48 +166,6 @@ def eval_discriminant_and_slope(c: PeriodicCoefficients, t: float) -> tuple[floa
         m00, m01, m10, m11 = t00 * m00 + t01 * m10, t00 * m01 + t01 * m11, m00, m01
         d00, d01, d10, d11 = s00, s01, d00, d01
     return m00 + m11, d00 + d11
-
-
-def eval_discriminant_slope(c: PeriodicCoefficients, t: float) -> tuple[float, float, float, float]:
-    """(value, bound, slope, bound): `eval_discriminant_and_slope` with error bounds.
-
-    Both bounds are running forward-error bounds built like
-    `eval_discriminant_bounded`'s; the one on D' also carries the error of
-    M through T'. Magnitudes of the bottom rows of M and M' carry over
-    from the previous step.
-    """
-    a, b = c.a, c.b
-    u4, u5 = 4.0 * _U, 5.0 * _U
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    am00, am01, am10, am11 = 1.0, 0.0, 0.0, 1.0
-    d00 = d01 = d10 = d11 = 0.0
-    ad00 = ad01 = ad10 = ad11 = 0.0
-    e00 = e01 = e10 = e11 = 0.0
-    f00 = f01 = f10 = f11 = 0.0
-    prev = a[-1]
-    for an, bn in zip(a, b):
-        inv = 1.0 / an
-        t00 = (t - bn) / an
-        t01 = -prev / an
-        prev = an
-        ai, at0, at1 = abs(inv), abs(t00), abs(t01)
-        n00 = t00 * m00 + t01 * m10
-        n01 = t00 * m01 + t01 * m11
-        s00 = inv * m00 + t00 * d00 + t01 * d10
-        s01 = inv * m01 + t00 * d01 + t01 * d11
-        g00 = at0 * e00 + at1 * e10 + u4 * (at0 * am00 + at1 * am10)
-        g01 = at0 * e01 + at1 * e11 + u4 * (at0 * am01 + at1 * am11)
-        h00 = ai * e00 + at0 * f00 + at1 * f10 + u5 * (ai * am00 + at0 * ad00 + at1 * ad10)
-        h01 = ai * e01 + at0 * f01 + at1 * f11 + u5 * (ai * am01 + at0 * ad01 + at1 * ad11)
-        m00, m01, m10, m11 = n00, n01, m00, m01
-        am00, am01, am10, am11 = abs(n00), abs(n01), am00, am01
-        d00, d01, d10, d11 = s00, s01, d00, d01
-        ad00, ad01, ad10, ad11 = abs(s00), abs(s01), ad00, ad01
-        e00, e01, e10, e11 = g00, g01, e00, e01
-        f00, f01, f10, f11 = h00, h01, f00, f01
-    value = m00 + m11
-    slope = d00 + d11
-    return value, e00 + e11 + _U * abs(value), slope, f00 + f11 + _U * abs(slope)
 
 
 @functools.lru_cache(maxsize=4)
@@ -264,31 +225,24 @@ def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:
     return Fraction(*scaled_trace_exact(c, t))
 
 
-def dirichlet_eigenvalues(c: PeriodicCoefficients) -> tuple[float, ...]:
-    """Eigenvalues of the operator with site 0 deleted, sorted.
-
-    The remaining block is tridiagonal already: diagonal b_2..b_p,
-    off-diagonal a_2..a_{p-1}.
-    """
-    return tridiagonal_eigenvalues(c.b[1:], c.a[1 : c.p - 1])
-
-
 def gap_sign(p: int, j: int) -> int:
     """Sign of the discriminant on the j-th gap (1-based) of a period-p operator: 1 or -1."""
     return 1 if (p - j) % 2 == 0 else -1
 
 
 def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
-    """Dirichlet knots of the discriminant, checked against interlacing.
+    """Knots of the discriminant at the Floquet gap midpoints, checked against interlacing.
 
-    At the j-th Dirichlet eigenvalue the discriminant must have the sign
+    Knot j is the midpoint of gap j's two Floquet eigenvalues of its sign,
+    j - 1 and j (1-based). There the discriminant must have the sign
     (-1)^(p-j) and |D| >= 2, each within the float error bound.
 
     Raises NonFiniteEntry when a field of the operator's `scalar_summary`
     or the sum of its Gershgorin ends (twice the midpoint where an edge
     solve starts) is not finite, the off-diagonal product leaves the
     normal float range, or a knot's value or error bound is not finite,
-    and PropertyViolation at the first knot that fails, at every period.
+    PropertyViolation at the first knot that fails, at every period, and
+    NonConvergence when the oracle's QL iterations do not converge.
     """
     summary = scalar_summary(c)
     checked = {**vars(summary), "gershgorin_lo + gershgorin_hi": summary.gershgorin_lo + summary.gershgorin_hi}
@@ -299,18 +253,22 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     if not _LOG_FLOAT_RANGE[0] <= log_product <= _LOG_FLOAT_RANGE[1]:
         raise NonFiniteEntry(f"off-diagonal product exp({log_product:.6g}) is beyond the float range")
     p = c.p
-    knots = dirichlet_eigenvalues(c)
+    plus, minus = eigenvalues = band_edges_oracle(c)
+    knots = []
+    for j in range(1, p):
+        same = plus if gap_sign(p, j) > 0 else minus
+        knots.append(0.5 * (same[j - 1] + same[j]))
     values = tuple(eval_discriminant_bounded(c, x) for x in knots)
     for j, (x, (value, err)) in enumerate(zip(knots, values), start=1):
         if not (math.isfinite(value) and math.isfinite(err)):
             raise NonFiniteEntry(
-                f"D({x}) = {value} (error bound {err}) at Dirichlet eigenvalue {j} of {p - 1} "
-                "is beyond the float range"
+                f"D({x}) = {value} (error bound {err}) at knot {j} of {p - 1} is beyond the float range"
             )
         s = gap_sign(p, j)
         if s * value < 2.0 - (1e-9 + 4.0 * err):
             raise PropertyViolation(
-                f"D({x}) = {value} at Dirichlet eigenvalue {j} of {p - 1}; "
-                f"expected sign {s:+.0f} and |D| >= 2"
+                f"D({x}) = {value} at knot {j} of {p - 1}; expected sign {s:+.0f} and |D| >= 2"
             )
-    return DiscriminantData(coeffs=c, summary=summary, knots=knots, knot_values=values)
+    return DiscriminantData(
+        coeffs=c, summary=summary, knots=tuple(knots), knot_values=values, floquet_eigenvalues=eigenvalues
+    )

@@ -23,8 +23,8 @@ from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiB
 
 # Bound by name only for the ("jacobibands.ensemble", "band_edges_oracle")
 # entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up:
-# band_structure calls the oracle once and run_trial reads its eigenvalues
-# off the BandStructure, so nothing here calls it.
+# build_discriminant calls the oracle once and run_trial reads its
+# eigenvalues off the BandStructure, so nothing here calls it.
 from .floquet import band_edges_oracle
 from .potential import PotentialReport, potential_report, potential_to_jsonable
 

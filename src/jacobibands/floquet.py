@@ -8,22 +8,19 @@ This module folds the ring so that the matrix is a band of width 2,
 chases it down to tridiagonal form with plane rotations, and finds the
 eigenvalues with implicit QL iterations.
 
-The QL kernel (`tridiagonal_eigenvalues`) is shared: the band path uses
-it for the Dirichlet eigenvalues that serve as its knots. The band path
-also calls `band_edges_oracle` once per operator: each edge solve starts
-at its eigenvalue, and a band beside an open gap whose two eigenvalues
-nearly coincide solves on the exact residual. Each edge is still the one
-solution of discriminant = +/-2 in a bracket cut by the independent,
-checked Dirichlet knots, so a wrong eigenvalue costs Newton steps or
-float accuracy and fails the oracle comparison of `ensemble.run_trial`.
-All set to 0 on the first 300 seed-42 operators of each benchmark
-workload, they raise the exact evaluations from 1,835 to 42,849, edges
-within 1.4e-15 * s of numpy; eigenvalue k moved by 1e-3 * k reads every
-gap as wide, and the edges beside narrow gaps, solved in floats, land up
-to 2.3e-9 * s off numpy, inside the 1e-8 * s oracle tolerance. The oracle
-builds its own folded boundary-condition matrices, wrap entries included,
-and reduces them itself. A fault in the shared kernel shows either as a
-failed knot check or as an edge mismatch.
+The band path calls `band_edges_oracle` once per operator, in
+`discriminant.build_discriminant`: the knots are the midpoints of its
+gaps, each edge solve starts at its eigenvalue, and a band beside an open
+gap whose two eigenvalues nearly coincide solves on the exact residual.
+So the knots, the seeds and the oracle comparison of `ensemble.run_trial`
+all rest on these eigenvalues, and a wrong one is caught by the sign of
+D: at a knot moved into a band the knot check or the exact touch
+decision of `bands` fails, and otherwise the edges, solved as the roots
+of D = +/-2 between the knots, fail the oracle comparison. Set to 0,
+shifted by 1e-6 or eigenvalue k moved by 1e-3 * k, every one of the first
+300 seed-42 operators of each benchmark workload fails the discriminant
+or the oracle family first, and none passes. A fault in the QL kernel
+shows the same way.
 """
 
 from __future__ import annotations
@@ -83,20 +80,25 @@ def _folded_tridiagonal(c: PeriodicCoefficients, sign: float) -> tuple[list[floa
         m[x][x] += c.b[i]
         m[x][y] += w
         m[y][x] += w
+    hypot = math.hypot
     for k in range(p - 2):
         r, col = k + 2, k
-        while r < p and m[r][col] != 0.0:
-            h = math.hypot(m[r - 1][col], m[r][col])
-            cs, sn = m[r - 1][col] / h, m[r][col] / h
-            window = range(max(r - 3, 0), min(r + 3, p))
+        while r < p:
             top, bottom = m[r - 1], m[r]
+            x, y = top[col], bottom[col]
+            if y == 0.0:
+                break
+            h = hypot(x, y)
+            cs, sn = x / h, y / h
+            window = range(max(r - 3, 0), min(r + 3, p))
             for j in window:
                 u, v = top[j], bottom[j]
                 top[j], bottom[j] = cs * u + sn * v, cs * v - sn * u
             for j in window:
-                u, v = m[j][r - 1], m[j][r]
-                m[j][r - 1], m[j][r] = cs * u + sn * v, cs * v - sn * u
-            m[r][col] = m[col][r] = 0.0
+                mj = m[j]
+                u, v = mj[r - 1], mj[r]
+                mj[r - 1], mj[r] = cs * u + sn * v, cs * v - sn * u
+            bottom[col] = m[col][r] = 0.0
             r, col = r + 2, r - 1
     return [m[i][i] for i in range(p)], [m[i + 1][i] for i in range(p - 1)]
 
@@ -134,20 +136,23 @@ def _implicit_ql(d: list[float], e: list[float]) -> None:
             g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
+            below = d[m]  # d[i + 1], carried from one step to the next
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
+                ei = e[i]
+                f = s * ei
+                b = c * ei
                 r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     # underflow: the block splits at i + 1
-                    d[i + 1] -= p
+                    d[i + 1] = below - p
                     e[m] = 0.0
                     break
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = below - p
+                below = d[i]
+                r = (below - g) * s + 2.0 * c * b
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b

@@ -161,17 +161,12 @@ def count_exact_calls(monkeypatch, module):
 def count_float_calls(monkeypatch, module):
     """Count the calls module makes to the float evaluators of D; returns a one-item list.
 
-    Counted are eval_discriminant, eval_discriminant_and_slope,
-    eval_discriminant_bounded and eval_discriminant_slope, each where
-    module binds it; names it does not bind are skipped.
+    Counted are eval_discriminant, eval_discriminant_and_slope and
+    eval_discriminant_bounded, each where module binds it; names it does
+    not bind are skipped.
     """
     calls = [0]
-    for name in (
-        "eval_discriminant",
-        "eval_discriminant_and_slope",
-        "eval_discriminant_bounded",
-        "eval_discriminant_slope",
-    ):
+    for name in ("eval_discriminant", "eval_discriminant_and_slope", "eval_discriminant_bounded"):
         inner = getattr(module, name, None)
         if inner is None:
             continue

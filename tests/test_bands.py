@@ -19,12 +19,8 @@ from jacobibands import bands as bands_mod
 from jacobibands import discriminant as discriminant_mod
 from jacobibands import ensemble as ensemble_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
-from jacobibands.discriminant import (
-    DiscriminantData,
-    eval_discriminant_and_slope,
-    eval_discriminant_bounded,
-    gap_sign,
-)
+from jacobibands import floquet as floquet_mod
+from jacobibands.discriminant import eval_discriminant_bounded, gap_sign
 from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
 
 from conftest import (
@@ -223,16 +219,17 @@ def sine_operator(p):
 
 
 def test_each_edge_is_one_newton_solve_or_a_touching_knot(monkeypatch):
-    # One Floquet call per trial at every period: band_structure seeds its
-    # edge solves with it and run_trial compares the edges against it. No
-    # second path: each of the 2p edges is one Newton solve on a Dirichlet
-    # piece, or a touching knot, which is the edge of both its pieces. The
-    # edges beside a narrow open gap are solved once, on the exact
-    # residual; a second, exact solve of them made 18 solves at p = 8.
-    calls, solves, touching = [], [0], [0]
-    inner = bands_mod.band_edges_oracle
+    # One Floquet call per trial at every period, made by
+    # build_discriminant: the knots are its gap midpoints, band_structure
+    # seeds its edge solves with it and run_trial compares the edges
+    # against it. No second path: each of the 2p edges is one Newton solve
+    # on a piece between knots, or a touching knot, which is the edge of
+    # both its pieces. The edges beside a narrow open gap are solved once,
+    # on the exact residual; a second, exact solve of them made 18 solves
+    # at p = 8.
+    calls, solves = [], [0]
+    inner = discriminant_mod.band_edges_oracle
     inner_solve = bands_mod._newton_edge
-    inner_knot = bands_mod._gap_knot
 
     def counted(c):
         calls.append(c)
@@ -242,26 +239,21 @@ def test_each_edge_is_one_newton_solve_or_a_touching_knot(monkeypatch):
         solves[0] += 1
         return inner_solve(*args)
 
-    def knot(*args):
-        x, touches = inner_knot(*args)
-        touching[0] += touches
-        return x, touches
-
-    monkeypatch.setattr(bands_mod, "band_edges_oracle", counted)
-    monkeypatch.setattr(ensemble_mod, "band_edges_oracle", counted)
+    for module in (discriminant_mod, bands_mod, ensemble_mod):
+        monkeypatch.setattr(module, "band_edges_oracle", counted)
     monkeypatch.setattr(bands_mod, "_newton_edge", solve)
-    monkeypatch.setattr(bands_mod, "_gap_knot", knot)
     for p in (8, 32):
         calls.clear()
-        solves[0] = touching[0] = 0
+        solves[0] = 0
         c = sine_operator(p)
         t = run_trial(c)
         assert t.all_passed, (p, {n: r.detail for n, r in t.families.items() if not r.passed})
         assert calls == [c]
         bs = t.band_structure
-        assert solves[0] + 2 * touching[0] == 2 * p
+        touching = sum(bs.closed_gap_flags)
+        assert solves[0] + 2 * touching == 2 * p
         if p == 8:
-            assert touching[0] == 1
+            assert touching == 1
         assert bs.p == p
         assert bs.total_band_measure <= 4.0 + 1e-9
         assert bs.total_band_measure + bs.total_gap_measure == pytest.approx(bs.s, abs=1e-9)
@@ -316,6 +308,47 @@ def test_one_site_defects_pass_every_family():
         assert [g.lo == g.hi for g in bs.gaps] == list(bs.closed_gap_flags), k
 
 
+def test_one_site_defect_gaps_wider_than_noise_are_open():
+    # A knot that sat on a gap edge was moved to the gap's critical point,
+    # searched to 1e-12 * max(1, search width), more than many of these
+    # gaps are wide: the exact decision then read a point on the band, and
+    # 217 gaps of numpy width 1e-13 to 6.6e-12 were flagged closed. The
+    # Floquet gap midpoint lies inside the gap.
+    for k in range(1000):
+        c = new_periodic(*one_site_defect(k))
+        bs = band_structure(build_discriminant(c))
+        edges = numpy_edges(c)
+        for j, closed in enumerate(bs.closed_gap_flags, start=1):
+            assert not (closed and edges[2 * j] - edges[2 * j - 1] > 1e-13), (k, j)
+
+
+def wide_range_operator(index):
+    """Period 2..12, entries of magnitude 1e-6..1e6, diagonal of either sign."""
+    rng = random.Random(f"wide:{index}")
+    p = rng.randint(2, 12)
+    a = [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(p)]
+    b = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(p)]
+    return a, b
+
+
+def test_wide_range_knots_pass_the_check():
+    # Dirichlet knots failed the knot check on 117 of these 300, with D of
+    # the wrong sign at 1e16 to 1e46. 18 still fail the bands family with
+    # a typed "band n inverted", each beside a band below float
+    # resolution; those are out of scope here.
+    inverted = 0
+    for k in range(300):
+        c = new_periodic(*wide_range_operator(k))
+        t = run_trial(c)
+        assert t.families["discriminant"].passed, (k, t.families["discriminant"].detail)
+        inverted += "inverted" in t.families["bands"].detail
+        if t.all_passed:
+            bs = t.band_structure
+            for x, y in zip(bs.edges, numpy_edges(c)):
+                assert abs(x - y) <= ORACLE_MATCH_RTOL * max(1.0, bs.s), k
+    assert inverted == 18
+
+
 CORRUPTIONS = {
     "shifted": lambda roots: tuple(x + 1e-6 for x in roots),
     "zero": lambda roots: (0.0,) * len(roots),
@@ -324,92 +357,44 @@ CORRUPTIONS = {
 }
 
 
-def corrupted_floquet_trials(monkeypatch, corruption, ops):
-    """run_trial of each operator with `band_structure` seeded by corrupted Floquet eigenvalues."""
-    inner = bands_mod.band_edges_oracle
-    monkeypatch.setattr(bands_mod, "band_edges_oracle", lambda c: tuple(map(CORRUPTIONS[corruption], inner(c))))
+def assert_corrupted_floquet_trials_fail(monkeypatch, corruption, ops):
+    """run_trial of each operator with knots and seeds from corrupted Floquet eigenvalues.
+
+    A corrupted oracle is a typed failure, never a silent pass: every
+    trial fails, the knot check or the oracle comparison first. Edges that
+    passed the oracle comparison against corrupted eigenvalues would be
+    off the true ones.
+    """
+    inner = discriminant_mod.band_edges_oracle
+    monkeypatch.setattr(
+        discriminant_mod, "band_edges_oracle", lambda c: tuple(map(CORRUPTIONS[corruption], inner(c)))
+    )
     for k, c in enumerate(ops):
-        t = run_trial(c)
-        assert not t.families["oracle"].passed, k
-        failed = [n for n, r in t.families.items() if n != "oracle" and not r.passed]
-        assert not failed, (k, failed)
-        yield k, c, t.band_structure
+        failed = [name for name, r in run_trial(c).families.items() if not r.passed]
+        assert failed and failed[0] in ("discriminant", "oracle"), (k, failed)
 
 
 @pytest.mark.parametrize("corruption", ["shifted", "zero", "spread"])
 def test_corrupted_floquet_eigenvalues_keep_the_edges(corruption, monkeypatch):
-    # Each edge is the one solution of D = +/-2 in a bracket from the
-    # Dirichlet knots, started at its Floquet eigenvalue. These operators
-    # have no flat gap, so a wrong eigenvalue costs steps, not accuracy,
-    # and fails the oracle family.
+    # The knots, the seeds and the oracle all come from the eigenvalues. A
+    # knot moved into a band fails the knot check; one still in its gap
+    # keeps each open gap's edges, the one solution of D = +/-2 on its
+    # piece, while a closed gap's edges are the moved knot; either way the
+    # corrupted eigenvalues fail the oracle comparison.
     ops = [sample_operator(ACCEPTANCE_CONFIG, k) for k in range(50)]
     ops += [new_periodic(*blocks(0, k, q_lo=3)) for k in range(50)]
-    for k, c, bs in corrupted_floquet_trials(monkeypatch, corruption, ops):
-        for x, y in zip(bs.edges, numpy_edges(c)):
-            assert abs(x - y) <= 1e-12 * max(1.0, bs.s), k
+    assert_corrupted_floquet_trials_fail(monkeypatch, corruption, ops)
 
 
 @pytest.mark.parametrize("corruption", ["zero", "spread"])
 def test_corrupted_floquet_eigenvalues_pick_the_residual(corruption, monkeypatch):
     # The eigenvalues also decide which gaps are flat, and so which bands
-    # solve on the exact residual. Read as all flat (zero), every band
-    # beside an open gap solves exactly; read as all wide (spread), the
-    # edges beside these narrow gaps are solved in floats, up to 2.3e-9 * s
-    # off numpy (a one-site defect), still inside the oracle tolerance.
+    # solve on the exact residual: read as all flat (zero) or all wide
+    # (spread). On these narrow gaps that too ends in a typed failure.
     ops = [sine_operator(p) for p in range(8, 17)]
     ops += [new_periodic(*one_site_defect(k)) for k in range(100)]
     ops.append(sample_operator(dataclasses.replace(ACCEPTANCE_CONFIG, seed=7), 1358))
-    for k, c, bs in corrupted_floquet_trials(monkeypatch, corruption, ops):
-        for x, y in zip(bs.edges, numpy_edges(c)):
-            assert abs(x - y) <= ORACLE_MATCH_RTOL * max(1.0, bs.s), k
-
-
-def counted_critical_point(monkeypatch, a, b, x, stop, tol):
-    """`_gap_critical_point` of the one gap of a p = 2 operator, with the evaluations it made."""
-    c = new_periodic(a, b)
-    calls = [0]
-
-    def counted(c, t):
-        calls[0] += 1
-        return eval_discriminant_and_slope(c, t)
-
-    monkeypatch.setattr(bands_mod, "eval_discriminant_and_slope", counted)
-    slope = eval_discriminant_and_slope(c, x)[1]
-    return bands_mod._gap_critical_point(c, x, -1.0, slope, stop, tol), calls[0]
-
-
-@pytest.mark.parametrize(
-    "a, b, x, stop",
-    [
-        ([1.0, 1.0], [-1.0, 1.3], 1.0, -1.0),
-        ([1.0, 1.0], [-1.0, 1.3], -1.0, 1.0),
-        # steep: D reaches -6e5 at x
-        ([1e-3, 1e-3], [-1.0, 1.3], 1.0, -1.0),
-    ],
-    ids=["from_above", "from_below", "steep"],
-)
-def test_gap_critical_point_within_tol(monkeypatch, a, b, x, stop):
-    # At p = 2, D is a parabola with its critical point at (b1 + b2) / 2.
-    tol = 1e-12
-    point, calls = counted_critical_point(monkeypatch, a, b, x, stop, tol)
-    critical = 0.5 * (b[0] + b[1])
-    assert abs(point - critical) <= tol
-    assert (point - critical) * (x - critical) >= 0.0  # the end short of it
-    # never more than plain bisection needs
-    assert calls <= math.ceil(math.log2(abs(stop - x) / tol)) + 1
-
-
-def test_gap_critical_point_stops_where_the_slope_is_zero(monkeypatch):
-    # D = x^2 - 3: the first midpoint 0.0 is the critical point, D' = 0.0 there.
-    point, calls = counted_critical_point(monkeypatch, [1.0, 1.0], [-1.0, 1.0], 1.0, -1.0, 1e-12)
-    assert point == 0.0
-    assert calls == 1
-
-
-def test_gap_critical_point_exhausted_budget_raises(monkeypatch):
-    monkeypatch.setattr(bands_mod, "_STEP_BUDGET", 5)
-    with pytest.raises(NonConvergence, match="budget exhausted"):
-        counted_critical_point(monkeypatch, [1.0, 1.0], [-1.0, 1.3], 1.0, -1.0, 1e-12)
+    assert_corrupted_floquet_trials_fail(monkeypatch, corruption, ops)
 
 
 def test_newton_edge_exhausted_budget_raises(monkeypatch):
@@ -420,10 +405,10 @@ def test_newton_edge_exhausted_budget_raises(monkeypatch):
 
 
 def test_corrupted_critical_points_raise():
-    # The band solver cuts the line at the Dirichlet knots: a knot list of
-    # the wrong length must not pass.
+    # The band solver cuts the line at the knots: a knot list of the wrong
+    # length must not pass.
     d = build_discriminant(period2_operator())
-    broken = DiscriminantData(coeffs=d.coeffs, summary=d.summary, knots=(), knot_values=())
+    broken = dataclasses.replace(d, knots=(), knot_values=())
     with pytest.raises(EdgeCountMismatch):
         bands_fn(broken)
 
@@ -485,12 +470,60 @@ def test_one_exact_arbitration_per_closed_gap(monkeypatch):
     assert calls[0] <= 5
 
 
+def test_touching_catalog_work_counts(monkeypatch):
+    # The repeated blocks of the benchmark's touching workload. Per trial,
+    # one Floquet call of two QL runs, where the Dirichlet knots cost a
+    # third; per knot one bounded evaluation, its check; per closed gap
+    # one exact quotient and no other evaluation, where the Dirichlet
+    # knot of a closed gap also took a bounded slope.
+    counts = {"oracle": 0, "ql": 0, "bounded": 0, "touches": 0}
+
+    def counted(module, name, key):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(discriminant_mod, "band_edges_oracle", "oracle")
+    counted(floquet_mod, "_implicit_ql", "ql")
+    counted(discriminant_mod, "eval_discriminant_bounded", "bounded")
+    counted(bands_mod, "_touches", "touches")
+    exact = count_exact_calls(monkeypatch, bands_mod)
+    floats = count_float_calls(monkeypatch, bands_mod)
+    residuals = {bands_mod._exact_residual: 0, bands_mod._float_residual: 0}
+    inner_solve = bands_mod._newton_edge
+
+    def solve(residual, *args):
+        def counted_residual(x):
+            residuals[residual.func] += 1
+            return residual(x)
+
+        return inner_solve(counted_residual, *args)
+
+    monkeypatch.setattr(bands_mod, "_newton_edge", solve)
+    knots = closed = 0
+    for k in range(2000):
+        t = run_trial(new_periodic(*blocks(0, k, q_lo=3)))
+        assert t.families["bands"].passed, k
+        knots += t.coefficients.p - 1
+        closed += sum(t.band_structure.closed_gap_flags)
+    assert closed == 11987
+    assert counts["oracle"] == 2000 and counts["ql"] == 2 * 2000
+    assert counts["bounded"] == knots
+    assert counts["touches"] == closed
+    assert exact[0] == closed + residuals[bands_mod._exact_residual]
+    assert floats[0] == sum(residuals.values())
+
+
 def test_period2_open_gap_edge_knot_is_exact():
-    # The Dirichlet eigenvalue b_2 = 2 is itself the lower edge of the
-    # second band, where D = -2 exactly: the knot moves to the gap's
-    # critical point 1, so neither piece mistakes it for its own crossing.
+    # The knot is the midpoint 1 of the gap's edges 0 and 2, where
+    # D = -2 exactly: strictly inside the gap, so neither piece mistakes
+    # it for its own crossing.
     d = build_discriminant(period2_operator())
-    assert d.knots == (2.0,)
+    assert d.knots == (1.0,)
     bs = band_structure(d)
     for x, y in zip(bs.edges, (1.0 - SQRT5, 0.0, 2.0, 1.0 + SQRT5)):
         assert abs(x - y) <= 1e-14
@@ -499,7 +532,7 @@ def test_period2_open_gap_edge_knot_is_exact():
 @pytest.mark.parametrize("k", [1, 17, 18])
 def test_thin_band_beside_a_knot(k):
     # p = 20 operators with a band below float resolution next to a knot;
-    # a critical-point search that crossed it would pair the wrong edges.
+    # a knot placed across it would pair the wrong edges.
     c = sample_operator(EnsembleConfig(seed=1, p_min=20, p_max=20), k)
     bs = band_structure(build_discriminant(c))
     for x, y in zip(bs.edges, numpy_edges(c)):
@@ -510,9 +543,9 @@ def test_thin_band_beside_a_knot(k):
 def test_long_periods_pass_the_edge_families(p):
     # Knots from the monomial expansion of D and its Sturm sequence raised
     # PropertyViolation for 5 of these 20 operators at p = 24 and for all
-    # 20 at p = 30; the Dirichlet knots raise for none. Alternation on the
-    # float sign of D at the edges failed all 20 of each; the crossing
-    # records fail none.
+    # 20 at p = 30; knots checked by the sign of D raise for none.
+    # Alternation on the float sign of D at the edges failed all 20 of
+    # each; the crossing records fail none.
     cfg = EnsembleConfig(seed=1, p_min=p, p_max=p)
     for k in range(20):
         c = sample_operator(cfg, k)
@@ -634,18 +667,20 @@ def test_knot_across_a_band_is_a_typed_error():
     assert bands_mod._touches(c, inside_band1, 1) and bands_mod._touches(c, inside_band1, 2)
 
 
-def test_long_period_knot_across_a_band_fails_the_bands_family():
-    # Operator 0 at p = 100 has float Dirichlet knots that lie across a
-    # band from their gap. Read as touches they closed an open gap, and
-    # only the oracle family caught the wrong edges; the exact value beyond
-    # the opposite target now fails the bands family with a typed error.
-    c = sample_operator(EnsembleConfig(seed=1, p_min=100, p_max=100, a_lo=0.5, a_hi=2.0), 0)
-    t = run_trial(c)
-    assert t.families["discriminant"].passed
-    assert "lies across a band" in t.families["bands"].detail
-    across = r"knot \S+ of gap \d+ lies across a band: exact D is beyond [+-]2"
-    with pytest.raises(PropertyViolation, match=across):
-        band_structure(build_discriminant(c))
+def test_long_period_knots_pass_the_edge_families():
+    # Their float Dirichlet knots lay across a band from their gap, and
+    # the exact decision raised PropertyViolation: the bands family
+    # failed. The Floquet gap midpoints lie in their gaps.
+    p100 = EnsembleConfig(seed=1, p_min=100, p_max=100, a_lo=0.5, a_hi=2.0)
+    p80 = EnsembleConfig(seed=1, p_min=80, p_max=80)
+    for cfg, k in [(p100, 0), (p100, 1), (p100, 2), (p100, 3), (p80, 3)]:
+        c = sample_operator(cfg, k)
+        t = run_trial(c)
+        for name in ("discriminant", "bands", "oracle", "capacity", "alternation"):
+            assert t.families[name].passed, (cfg.p_min, k, name, t.families[name].detail)
+        bs = t.band_structure
+        for x, y in zip(bs.edges, numpy_edges(c)):
+            assert abs(x - y) <= 1e-12 * max(1.0, bs.s), (cfg.p_min, k)
 
 
 def test_short_blocks_pass_every_family():

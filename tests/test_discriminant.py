@@ -17,7 +17,6 @@ from jacobibands.discriminant import (
     eval_discriminant,
     eval_discriminant_and_slope,
     eval_discriminant_bounded,
-    eval_discriminant_slope,
     scaled_trace_exact,
     search_interval,
 )
@@ -78,10 +77,13 @@ def test_single_site_discriminant_is_linear():
 
 
 def test_period2_closed_form():
-    # D(t) = t^2 - 2t - 2 and the one Dirichlet eigenvalue is b_2 = 2
+    # D(t) = t^2 - 2t - 2, so D = -2 at 0 and 2, and the knot of the one
+    # gap is their midpoint 1, the critical point, where D = -3.
     c = period2_operator()
     d = build_discriminant(c)
-    assert d.knots == (2.0,)
+    assert d.floquet_eigenvalues[1] == pytest.approx((0.0, 2.0), abs=1e-15)
+    assert d.knots == (1.0,)
+    assert d.knot_values[0][0] == -3.0
     for t in (-2, -0.5, 0, 1, Fraction(5, 3)):
         t = Fraction(t)
         assert eval_discriminant_exact(c, t) == t * t - 2 * t - 2
@@ -284,15 +286,14 @@ def test_slope_evaluation_matches_the_expansion():
         derivative = reference_discriminant(c).deriv()
         for i in range(9):
             t = lo + (hi - lo) * (i + 0.5) / 9
-            value, err, slope, slope_err = eval_discriminant_slope(c, t)
-            assert (value, err) == eval_discriminant_bounded(c, t)
+            slope = eval_discriminant_and_slope(c, t)[1]
             assert abs(slope - derivative(t)) <= 1e-9 * max(1.0, abs(slope))
-            assert abs(slope - derivative(t)) <= 4.0 * slope_err + 1e-9 * abs(slope)
 
 
 def test_dirichlet_knots_interlace():
-    # The j-th Dirichlet eigenvalue lies in the closure of the j-th gap:
-    # D has the sign (-1)^(p-j) there, with |D| >= 2.
+    # Knot j, the midpoint of gap j's two Floquet eigenvalues of its sign,
+    # lies in the closure of the j-th gap: D has the sign (-1)^(p-j)
+    # there, with |D| >= 2.
     cfg = EnsembleConfig(trials=30, seed=12)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
@@ -304,17 +305,19 @@ def test_dirichlet_knots_interlace():
 
 
 def test_knots_outside_their_gaps_raise(monkeypatch):
-    # A knot moved into a band breaks the sign pattern: D(3) = 1 for this operator.
-    inner = discriminant_mod.dirichlet_eigenvalues
-    monkeypatch.setattr(discriminant_mod, "dirichlet_eigenvalues", lambda c: tuple(x + 1.0 for x in inner(c)))
-    with pytest.raises(PropertyViolation, match="Dirichlet eigenvalue 1 of 1"):
+    # Eigenvalues moved up by 2 put the knot in a band: D(3) = 1 for this operator.
+    inner = discriminant_mod.band_edges_oracle
+    monkeypatch.setattr(
+        discriminant_mod, "band_edges_oracle", lambda c: tuple(tuple(x + 2.0 for x in xs) for xs in inner(c))
+    )
+    with pytest.raises(PropertyViolation, match=r"D\(3\.0\) = 1\.0 at knot 1 of 1"):
         build_discriminant(period2_operator())
 
 
 def test_bound_free_evaluators_equal_the_bounded_ones():
     # The same float operations in the same order: equal bit for bit at
-    # grid points, Dirichlet knots and computed band edges, short and long
-    # periods, open and closed gaps.
+    # grid points, knots and computed band edges, short and long periods,
+    # open and closed gaps.
     configs = [
         (EnsembleConfig(seed=21, p_min=1, p_max=1), 5),
         (EnsembleConfig(seed=21, p_min=2, p_max=2), 5),
@@ -329,6 +332,5 @@ def test_bound_free_evaluators_equal_the_bounded_ones():
         lo, hi = search_interval(d.summary)
         grid = [lo + (hi - lo) * i / 16 for i in range(17)]
         for t in grid + list(d.knots) + list(band_structure(d).edges):
-            value, _, slope, _ = eval_discriminant_slope(c, t)
-            assert eval_discriminant(c, t) == eval_discriminant_bounded(c, t)[0] == value, (c, t)
-            assert eval_discriminant_and_slope(c, t) == (value, slope), (c, t)
+            value = eval_discriminant(c, t)
+            assert eval_discriminant_bounded(c, t)[0] == eval_discriminant_and_slope(c, t)[0] == value, (c, t)
