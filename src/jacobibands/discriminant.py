@@ -25,11 +25,13 @@ knot check of `build_discriminant`, whose bounds the touch decision of
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once to integer numerators over a
-common denominator; that conversion is the one cache. A point t = T/D
-joins that denominator through an lcm, and the cleared-denominator
-transfer product then runs in plain int arithmetic: no Fraction and no
-gcd inside the loop. The result is D itself as one unreduced integer
-quotient N / Q, Q > 0 the product of the cleared off-diagonal numerators.
+common denominator, with the squares of the off-diagonal ones and their
+product; that conversion is the one cache. A point t = T/D joins that
+denominator through an lcm, and the cleared-denominator transfer product
+then runs in plain int arithmetic, each step conjugated so that it costs
+four multiplies: no Fraction and no gcd inside the loop. The result is D
+itself as one unreduced integer quotient N / Q, Q > 0 the product of the
+cleared off-diagonal numerators.
 Reducing it costs a gcd on the full-size numerator, and no caller needs
 that: against an int target, the exact side is the sign of the int
 N - target * Q, and the edge solves of `bands` beside a flat gap take
@@ -117,31 +119,32 @@ def eval_discriminant(c: PeriodicCoefficients, t: float) -> float:
 def eval_discriminant_bounded(c: PeriodicCoefficients, t: float) -> tuple[float, float]:
     """`eval_discriminant` at t with a running error bound.
 
-    The bound tracks |T|*E + u*|T|*|M| through the product and is used to
-    decide when a value is indistinguishable from +/-2. The bottom row of
-    M is the previous top row, so its magnitudes carry over from the
-    previous step.
+    The bound tracks E' = |T|*E + 4u*|T|*|M| through the product and is
+    used to decide when a value is indistinguishable from +/-2. It carries
+    W = E + 4u*|M| in one pass: a step is F = |T|*W, the new top row of
+    E, and W's top row becomes F + 4u*|N| for the new top row N of M.
+    The bottom rows of M, E and W are their previous top rows, so they
+    carry over. Since a > 0, |t01| is q = a_{n-1}/a_n, and t00*m - q*m'
+    equals t00*m + t01*m' with t01 = -q bit for bit, so D is the value of
+    `eval_discriminant`. The bound is the trace of the final E plus u*|D|.
     """
     a, b = c.a, c.b
     u4 = 4.0 * _U
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    am00, am01, am10, am11 = 1.0, 0.0, 0.0, 1.0
-    e00 = e01 = e10 = e11 = 0.0
+    w00, w01, w10, w11 = u4, 0.0, 0.0, u4
+    f00 = f01 = 0.0
     prev = a[-1]
     for an, bn in zip(a, b):
         t00 = (t - bn) / an
-        t01 = -prev / an
+        q = prev / an
         prev = an
-        at0, at1 = abs(t00), abs(t01)
-        n00 = t00 * m00 + t01 * m10
-        n01 = t00 * m01 + t01 * m11
-        f00 = at0 * e00 + at1 * e10 + u4 * (at0 * am00 + at1 * am10)
-        f01 = at0 * e01 + at1 * e11 + u4 * (at0 * am01 + at1 * am11)
-        m00, m01, m10, m11 = n00, n01, m00, m01
-        am00, am01, am10, am11 = abs(n00), abs(n01), am00, am01
-        e00, e01, e10, e11 = f00, f01, e00, e01
+        m00, m01, m10, m11 = t00 * m00 - q * m10, t00 * m01 - q * m11, m00, m01
+        at0 = abs(t00)
+        e11 = f01
+        f00, f01 = at0 * w00 + q * w10, at0 * w01 + q * w11
+        w00, w01, w10, w11 = f00 + u4 * abs(m00), f01 + u4 * abs(m01), w00, w01
     value = m00 + m11
-    return value, e00 + e11 + _U * abs(value)
+    return value, f00 + e11 + _U * abs(value)
 
 
 def eval_discriminant_and_slope(c: PeriodicCoefficients, t: float) -> tuple[float, float]:
@@ -169,8 +172,9 @@ def eval_discriminant_and_slope(c: PeriodicCoefficients, t: float) -> tuple[floa
 
 
 @functools.lru_cache(maxsize=4)
-def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(den, A, B) with a = A / den and b = B / den exactly.
+def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(den, B, S, Q) with b = B / den exactly and, for A = a * den,
+    S[n] = A[n - 1]^2 (S[0] = A[p - 1]^2 closes the ring) and Q = prod(A).
 
     den is the lcm of the coefficients' denominators, a power of two for
     float entries. The cache is bounded: the exact callers work on one
@@ -179,7 +183,9 @@ def _integer_form(c: PeriodicCoefficients) -> tuple[int, tuple[int, ...], tuple[
     ratios = [x.as_integer_ratio() for x in c.a + c.b]
     den = math.lcm(*(d for _, d in ratios))
     nums = [n * (den // d) for n, d in ratios]
-    return den, tuple(nums[: c.p]), tuple(nums[c.p :])
+    a_num = nums[: c.p]
+    squares = tuple(a_num[n - 1] * a_num[n - 1] for n in range(c.p))
+    return den, tuple(nums[c.p :]), squares, math.prod(a_num)
 
 
 def scaled_trace_exact(c: PeriodicCoefficients, t) -> tuple[int, int]:
@@ -187,32 +193,38 @@ def scaled_trace_exact(c: PeriodicCoefficients, t) -> tuple[int, int]:
 
     Each step (1/a_n) * [[t - b_n, -a_{n-1}], [a_n, 0]] contributes its
     1/a_n to a common prefactor. With t = T/D and the operator's integer
-    form over den, every step times L = lcm(den, D) is an integer matrix
-    whose off-diagonal numerator is A_n = L * a_n, so the trace N of the
-    integer product over Q = prod(A_n) > 0 is D. t may be a float, an int
-    or any rational. Against an int target the sign of D - target is the
-    sign of N - target * Q, and its float is (N - target * Q) / Q,
-    rounded once by int division.
+    form over den, every step times L = lcm(den, D) is the integer matrix
+    S_n = [[T' - B_n, -A_{n-1}], [A_n, 0]] with A_n = L * a_n, so the
+    trace N of the integer product over Q = prod(A_n) > 0 is D. Since
+    S_n = diag(1, A_n) [[T' - B_n, -A_{n-1}^2], [1, 0]] diag(1, 1/A_{n-1})
+    and A_{-1} = A_{p-1} closes the ring, the product of the middle
+    factors is similar to that of the S_n and has the same trace N. Its
+    bottom row is the previous top row, so a step takes four big-int
+    multiplies where S_n takes six.
+
+    t may be a float or any rational (`numbers.Rational`): a float's ratio
+    comes from `as_integer_ratio`, any other's from its numerator and
+    denominator, with no Fraction built. Against an int target the sign of
+    D - target is the sign of N - target * Q, and its float is
+    (N - target * Q) / Q, rounded once by int division.
     """
-    den, a_num, b_num = _integer_form(c)
-    t = Fraction(t)
-    scale = math.lcm(den, t.denominator)
-    k = scale // den
-    a_num = [x * k for x in a_num]
-    b_num = [x * k for x in b_num]
-    tn = t.numerator * (scale // t.denominator)
+    den, b_num, squares, q = _integer_form(c)
+    tn, td = t.as_integer_ratio() if isinstance(t, float) else (t.numerator, t.denominator)
+    if den % td:
+        # the point's denominator joins the operator's: rescale by k
+        scale = math.lcm(den, td)
+        k = scale // den
+        tn *= scale // td
+        b_num = [x * k for x in b_num]
+        squares = [x * k * k for x in squares]
+        q *= k**c.p
+    else:
+        tn *= den // td
     m00, m01, m10, m11 = 1, 0, 0, 1
-    for n in range(c.p):
-        s00 = tn - b_num[n]
-        s01 = -a_num[n - 1]
-        an = a_num[n]
-        m00, m01, m10, m11 = (
-            s00 * m00 + s01 * m10,
-            s00 * m01 + s01 * m11,
-            an * m00,
-            an * m01,
-        )
-    return m00 + m11, math.prod(a_num)
+    for bn, sq in zip(b_num, squares):
+        s = tn - bn
+        m00, m01, m10, m11 = s * m00 - sq * m10, s * m01 - sq * m11, m00, m01
+    return m00 + m11, q
 
 
 def eval_discriminant_exact(c: PeriodicCoefficients, t) -> Fraction:

@@ -5,8 +5,8 @@ over one period reduces the operator to a real symmetric p x p matrix whose
 eigenvalues are exactly the solutions of discriminant = +2 and -2. That
 matrix is tridiagonal apart from the wrap entry +/-a_p in its corners.
 This module folds the ring so that the matrix is a band of width 2,
-chases it down to tridiagonal form with plane rotations, and finds the
-eigenvalues with implicit QL iterations.
+held in O(p) band storage, chases it down to tridiagonal form with plane
+rotations, and finds the eigenvalues with implicit QL iterations.
 
 The band path calls `band_edges_oracle` once per operator, in
 `discriminant.build_discriminant`: the knots are the midpoints of its
@@ -19,8 +19,9 @@ decision of `bands` fails, and otherwise the edges, solved as the roots
 of D = +/-2 between the knots, fail the oracle comparison. Set to 0,
 shifted by 1e-6 or eigenvalue k moved by 1e-3 * k, every one of the first
 300 seed-42 operators of each benchmark workload fails the discriminant
-or the oracle family first, and none passes. A fault in the QL kernel
-shows the same way.
+or the oracle family first (the discriminant family in 81, 583 and 300
+of the 600), and none passes. A fault in the QL kernel shows the same
+way.
 """
 
 from __future__ import annotations
@@ -67,40 +68,72 @@ def _folded_tridiagonal(c: PeriodicCoefficients, sign: float) -> tuple[list[floa
     rotation in rows (r - 1, r) zeroes each entry two below the diagonal
     and leaves one three below it, two rows further down, which the next
     rotation chases off the end (Schwarz, Numer. Math. 12, 1968; EISPACK
-    bandr). A rotation touches rows and columns r - 3..r + 2 only, and no
-    update sums more than two terms, so the result does not depend on the
-    Python version.
+    bandr).
+
+    The symmetric matrix is held in O(p) floats: its diagonal d, its
+    first and second subdiagonals e1 and e2 (e1[j] couples rows j + 1
+    and j, e2[j] rows j + 2 and j), and its third subdiagonal, which
+    holds at most the one bulge, as a scalar. Each rotation is one
+    symmetric update of the entries it changes: the 2 x 2 block on rows
+    r - 1, r in closed form, the pair it zeroes, the one pair left of the
+    block in a chase step, and the two pairs below it, one of which
+    becomes the next bulge. Every update is plain IEEE arithmetic with
+    sums of at most three terms, in a fixed order and with no `sum` or
+    `fsum`, so the result does not depend on the Python version.
     """
     p = c.p
+    a, b = c.a, c.b
     row = [min(2 * i, 2 * (p - i) - 1) for i in range(p)]
-    m = [[0.0] * p for _ in range(p)]
+    d = [0.0] * p
+    e1 = [0.0] * (p - 1)
+    e2 = [0.0] * max(p - 2, 0)
+    diagonals = (d, e1, e2)
     for i in range(p):
         x, y = row[i], row[(i + 1) % p]
-        w = c.a[i] if i < p - 1 else sign * c.a[i]
-        m[x][x] += c.b[i]
-        m[x][y] += w
-        m[y][x] += w
+        w = a[i] if i < p - 1 else sign * a[i]
+        d[x] += b[i]
+        if x == y:  # p = 1: the wrap is both off-diagonal entries of the one site
+            w += w
+        diagonals[abs(x - y)][min(x, y)] += w
     hypot = math.hypot
     for k in range(p - 2):
-        r, col = k + 2, k
-        while r < p:
-            top, bottom = m[r - 1], m[r]
-            x, y = top[col], bottom[col]
+        y = e2[k]
+        if y == 0.0:
+            continue
+        x = e1[k]
+        h = hypot(x, y)
+        cs, sn = x / h, y / h
+        e1[k], e2[k] = h, 0.0
+        r = k + 2
+        while True:
+            # the 2 x 2 block on rows r - 1, r
+            cc, ss, csn = cs * cs, sn * sn, cs * sn
+            u, v, z = d[r - 1], e1[r - 1], d[r]
+            t = 2.0 * csn * v
+            d[r - 1] = cc * u + t + ss * z
+            d[r] = ss * u - t + cc * z
+            e1[r - 1] = csn * (z - u) + (cc - ss) * v
+            # the pairs of rows r + 1 and r + 2; the second is (0, e2[r]),
+            # and its first entry becomes the bulge y
+            if r + 1 < p:
+                u, v = e2[r - 1], e1[r]
+                e2[r - 1], e1[r] = cs * u + sn * v, cs * v - sn * u
+            if r + 2 >= p:
+                break
+            v = e2[r]
+            y = sn * v
+            e2[r] = cs * v
             if y == 0.0:
                 break
+            # the next rotation zeroes the bulge, then the pair left of its block
+            x = e2[r - 1]
             h = hypot(x, y)
             cs, sn = x / h, y / h
-            window = range(max(r - 3, 0), min(r + 3, p))
-            for j in window:
-                u, v = top[j], bottom[j]
-                top[j], bottom[j] = cs * u + sn * v, cs * v - sn * u
-            for j in window:
-                mj = m[j]
-                u, v = mj[r - 1], mj[r]
-                mj[r - 1], mj[r] = cs * u + sn * v, cs * v - sn * u
-            bottom[col] = m[col][r] = 0.0
-            r, col = r + 2, r - 1
-    return [m[i][i] for i in range(p)], [m[i + 1][i] for i in range(p - 1)]
+            e2[r - 1] = h
+            r += 2
+            u, v = e1[r - 2], e2[r - 2]
+            e1[r - 2], e2[r - 2] = cs * u + sn * v, cs * v - sn * u
+    return d, e1
 
 
 def _implicit_ql(d: list[float], e: list[float]) -> None:

@@ -61,6 +61,15 @@ def blocks(seed, index, q_lo=1):
     return a * m, b * m
 
 
+def wide_range_operator(index):
+    """Period 2..12, entries of magnitude 1e-6..1e6, diagonal of either sign."""
+    rng = random.Random(f"wide:{index}")
+    p = rng.randint(2, 12)
+    a = [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(p)]
+    b = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(p)]
+    return a, b
+
+
 def floquet_matrix(c, sign):
     """The p x p Floquet matrix of c as a tuple of rows: sign +1 periodic, -1 antiperiodic.
 
@@ -143,6 +152,34 @@ def fraction_discriminant(c, t):
             an * m01,
         )
     return (m00 + m11) / math.prod(a)
+
+
+def six_multiply_trace(c, t):
+    """(N, Q) of `scaled_trace_exact` by its earlier kernel, the reference
+    for the conjugated four-multiply step.
+
+    The integer steps [[T - B_n, -A_{n-1}], [A_n, 0]] over the common
+    denominator L of the operator and t, each product row formed anew:
+    six big-int multiplies per step. N is the trace, Q = prod(A_n).
+    """
+    t = Fraction(t)
+    ratios = [Fraction(x) for x in c.a + c.b]
+    scale = math.lcm(t.denominator, *(x.denominator for x in ratios))
+    nums = [int(x * scale) for x in ratios]
+    a_num, b_num = nums[: c.p], nums[c.p :]
+    tn = int(t * scale)
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for n in range(c.p):
+        s00 = tn - b_num[n]
+        s01 = -a_num[n - 1]
+        an = a_num[n]
+        m00, m01, m10, m11 = (
+            s00 * m00 + s01 * m10,
+            s00 * m01 + s01 * m11,
+            an * m00,
+            an * m01,
+        )
+    return m00 + m11, math.prod(a_num)
 
 
 def count_exact_calls(monkeypatch, module):

@@ -34,6 +34,7 @@ from conftest import (
     period2_operator,
     reference_critical_points,
     reference_discriminant,
+    wide_range_operator,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -322,20 +323,12 @@ def test_one_site_defect_gaps_wider_than_noise_are_open():
             assert not (closed and edges[2 * j] - edges[2 * j - 1] > 1e-13), (k, j)
 
 
-def wide_range_operator(index):
-    """Period 2..12, entries of magnitude 1e-6..1e6, diagonal of either sign."""
-    rng = random.Random(f"wide:{index}")
-    p = rng.randint(2, 12)
-    a = [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(p)]
-    b = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(p)]
-    return a, b
-
-
 def test_wide_range_knots_pass_the_check():
     # Dirichlet knots failed the knot check on 117 of these 300, with D of
-    # the wrong sign at 1e16 to 1e46. 18 still fail the bands family with
+    # the wrong sign at 1e16 to 1e46. 20 still fail the bands family with
     # a typed "band n inverted", each beside a band below float
-    # resolution; those are out of scope here.
+    # resolution; those are out of scope here. Which ones is float noise:
+    # a change of rounding in the Floquet fold swaps several of them.
     inverted = 0
     for k in range(300):
         c = new_periodic(*wide_range_operator(k))
@@ -346,7 +339,7 @@ def test_wide_range_knots_pass_the_check():
             bs = t.band_structure
             for x, y in zip(bs.edges, numpy_edges(c)):
                 assert abs(x - y) <= ORACLE_MATCH_RTOL * max(1.0, bs.s), k
-    assert inverted == 18
+    assert inverted == 20
 
 
 CORRUPTIONS = {
@@ -604,8 +597,10 @@ def test_narrow_gap_edges_resolved_on_their_pieces(cfg, k):
     c = sample_operator(cfg, k)
     t = run_trial(c)
     failed = {n: r.detail for n, r in t.families.items() if not r.passed}
-    if (cfg, k) == (P60, 5):
-        # its bands of float length 0.0 read as a violated log_sum_lower
+    if (cfg, k) in ((P60, 5), (P60, 15)):
+        # their bands of float length 0.0 read as a violated log_sum_lower
+        # (operator 15 since the fold became one symmetric update per
+        # rotation, with 45 such bands where it had 43)
         assert failed.pop("bounds_unconditional") == "violated: ['log_sum_lower']"
     assert not failed, (k, failed)
     bs = t.band_structure

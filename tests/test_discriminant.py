@@ -33,6 +33,8 @@ from conftest import (
     reference_critical_points,
     reference_discriminant,
     reference_transfer_matrix,
+    six_multiply_trace,
+    wide_range_operator,
 )
 
 
@@ -176,8 +178,9 @@ def test_exact_evaluator_is_consistent():
     # potential certifies steep edges from the bound at x +/- h, so there it
     # must hold with no slack: at every Floquet eigenvalue x and at x +/- h
     ops = [sample_operator(EnsembleConfig(seed=42), k) for k in range(300)]
-    for p in (24, 40):
+    for p in (24, 40, 60):
         ops += [sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), k) for k in range(3)]
+    ops += [new_periodic(*wide_range_operator(k)) for k in range(50)]
     points = 0
     for c in ops:
         plus, minus = band_edges_oracle(c)
@@ -269,12 +272,19 @@ def test_integer_kernel_matches_fraction_oracle():
         points[c] = [x, 0.5, -3, Fraction(1, 3), Fraction(-7, 3), *refiner_midpoints(x, 400)]
     assert points[operators[0]][-1].denominator >= 2**400
     # Round-robin over more operators than the conversion cache holds, so a
-    # stale or evicted entry would show as a wrong value.
+    # stale or evicted entry would show as a wrong value. The conjugated
+    # four-multiply step gives the same unreduced (N, Q) as the six-multiply
+    # product, bit for bit, on the operator's denominator and on the
+    # rescaling path, where the point's denominator does not divide it.
+    paths = set()
     for k in range(len(points[operators[0]])):
         for c in operators:
             t = points[c][k]
             n, q = scaled_trace_exact(c, t)
             assert q > 0 and Fraction(n, q) == fraction_discriminant(c, t), (c.p, t)
+            assert (n, q) == six_multiply_trace(c, t), (c.p, t)
+            paths.add((c, discriminant_mod._integer_form(c)[0] % Fraction(t).denominator == 0))
+    assert len(paths) == 2 * len(operators)
 
 
 def test_slope_evaluation_matches_the_expansion():

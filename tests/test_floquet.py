@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,9 +74,44 @@ def test_eigenvalues_of_repeated_blocks_match_numpy():
         assert_oracle_matches_numpy(new_periodic(*blocks(1, k)))
 
 
-@pytest.mark.parametrize("p", [40, 60])
+@pytest.mark.parametrize("p", range(1, 13))
+def test_eigenvalues_at_short_periods_match_numpy(p):
+    cfg = EnsembleConfig(seed=5, p_min=p, p_max=p)
+    for k in range(20):
+        assert_oracle_matches_numpy(sample_operator(cfg, k))
+
+
+@pytest.mark.parametrize("p", [40, 60, 80, 100, 150, 200])
 def test_eigenvalues_at_long_periods_match_numpy(p):
     assert_oracle_matches_numpy(sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), 0))
+
+
+def test_fold_keeps_trace_and_frobenius_norm():
+    # An orthogonal similarity keeps trace(J) and ||J||_F^2; the folded
+    # (d, e) must carry both, the off-diagonal counted twice.
+    for p in range(1, 61):
+        c = sample_operator(EnsembleConfig(seed=6, p_min=p, p_max=p), 0)
+        for sign in (1.0, -1.0):
+            m = np.array(floquet_matrix(c, sign))
+            d, e = floquet_mod._folded_tridiagonal(c, sign)
+            assert (len(d), len(e)) == (p, p - 1)
+            d, e = np.array(d), np.array(e)
+            norm2 = float(np.sum(m * m))
+            assert abs(np.sum(d) - np.trace(m)) <= 1e-13 * max(abs(np.trace(m)), math.sqrt(norm2)), (p, sign)
+            assert abs(np.sum(d * d) + 2.0 * np.sum(e * e) - norm2) <= 1e-13 * norm2, (p, sign)
+
+
+def test_fold_stores_no_dense_matrix():
+    # The band storage is O(p): one p = 100 fold peaks far below the
+    # 80 KB that a dense p x p list of floats alone takes.
+    c = sample_operator(EnsembleConfig(seed=1, p_min=100, p_max=100), 0)
+    tracemalloc.start()
+    try:
+        floquet_mod._folded_tridiagonal(c, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024, peak
 
 
 def test_eigenvalues_of_split_matrix_match_numpy():
