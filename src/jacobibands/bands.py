@@ -16,17 +16,18 @@ pick the residual: beside a flat gap, an open gap whose two eigenvalues
 nearly coincide and whose float crossings scatter by noise over slope, a
 band solves both edges once with D - target evaluated exactly, and their
 order is checked; elsewhere it solves in floats and stores its edges in
-ascending order. A knot whose bounded float value clears the gap's
-target +/-2 by more than evaluation noise opens its gap. Any other knot
-is decided by one exact rational evaluation, for both neighboring pieces:
-its sign alone, with no tolerance, tells a genuine touch (value on the
-target or on the band side) from an open gap, however shallow, and is
-the gap's closed flag: both edges of a closed gap are the knot. The same
-evaluation read against the opposite target catches a knot that lies
-across a band, in a gap of the other sign, and raises PropertyViolation
-there. The knots and the seeds come from the same eigenvalues, so a
-wrong eigenvalue fails a family: the knot check, this decision, or the
-oracle comparison of `ensemble.run_trial`.
+ascending order. `build_discriminant` judged each knot on its error
+bound, and nothing here reads a float value at a knot: an open knot
+opens its gap, and an undecided one, within the bound of the gap's
+target +/-2, is decided by one exact rational evaluation, for both
+neighboring pieces: its sign alone, with no tolerance, tells a genuine
+touch (value on the target or on the band side) from an open gap,
+however shallow, and is the gap's closed flag: both edges of a closed
+gap are the knot. The same evaluation read against the opposite target
+catches a knot that lies across a band, in a gap of the other sign, and
+raises PropertyViolation there. The knots and the seeds come from the
+same eigenvalues, so a wrong eigenvalue fails a family: the knot
+judgement, this decision, or the oracle comparison of `ensemble.run_trial`.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ class BandStructure:
     gap is an exact touch, and its two edges are the same float, so its
     length is exactly 0.0. min_gap is the smallest open gap, +inf when
     every gap is closed, and None when p = 1 and no gap exists at all.
-    floquet_eigenvalues is the (plus, minus) pair of `band_edges_oracle`
-    that seeded the edge solves and picked their residuals.
     """
 
     bands: tuple[Interval, ...]
@@ -101,7 +100,6 @@ class BandStructure:
     total_band_measure: float
     min_gap: float | None
     closed_gap_flags: tuple[bool, ...]
-    floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
     def p(self) -> int:
@@ -141,7 +139,7 @@ class BandStructure:
 
 
 def _touches(c, x, j):
-    """Exact arbitration at knot x of gap j, whose float value does not clearly clear its target.
+    """Exact arbitration at knot x of gap j, whose float value is within its error bound of the target.
 
     One exact quotient D(x) = N / Q is read against both targets of the
     gap's sign s. A value at the gap's target 2s or on the band side
@@ -158,12 +156,6 @@ def _touches(c, x, j):
     if s * (n + target * q) < 0:
         raise PropertyViolation(f"knot {x} of gap {j} lies across a band: exact D is beyond {-target:+d}")
     return s * (n - target * q) <= 0
-
-
-def _clearly_beyond(value, err, s):
-    """Whether value is beyond the gap's target 2s by more than the evaluation noise err."""
-    target = 2.0 * s
-    return s * (value - target) > 4.0 * err + 1e-14 * (1.0 + abs(target))
 
 
 def _newton_edge(residual, lo, hi, rising, x, tol):
@@ -237,10 +229,10 @@ def band_structure(d: DiscriminantData) -> BandStructure:
 
     Edges are refined to absolute accuracy `_EDGE_RTOL` times the width of
     the search interval. Exactly p bands are always returned. A gap is
-    closed exactly when its knot touches: its float value does not clear
-    the target, and `_touches`, an exact sign with no tolerance, decides
-    so. It then appears as a zero-length gap, both edges the knot, never as
-    merged bands. The Floquet eigenvalues the knots were built from seed
+    closed exactly when its knot touches: `build_discriminant` left the
+    knot undecided, within its error bound of the target, and `_touches`,
+    an exact sign with no tolerance, decides so. It then appears as a
+    zero-length gap, both edges the knot, never as merged bands. The Floquet eigenvalues the knots were built from seed
     every edge solve and pick its residual: gap j's edges are eigenvalues
     j - 1 and j of its sign, and a band beside a flat gap solves on
     `_exact_residual` and raises EdgeCountMismatch if inverted.
@@ -251,11 +243,10 @@ def band_structure(d: DiscriminantData) -> BandStructure:
 
     p = c.p
     plus, minus = d.floquet_eigenvalues
-    if len(d.knots) != p - 1 or len(d.knot_values) != p - 1:
+    if len(d.knots) != p - 1 or len(d.knot_open) != p - 1:
         raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
     flags = tuple(
-        not _clearly_beyond(value, err, gap_sign(p, j)) and _touches(c, x, j)
-        for j, (x, (value, err)) in enumerate(zip(d.knots, d.knot_values), start=1)
+        not is_open and _touches(c, x, j) for j, (x, is_open) in enumerate(zip(d.knots, d.knot_open), start=1)
     )
     knots = [(lo_bound, False), *zip(d.knots, flags), (hi_bound, False)]
     cut = _FLAT_GAP_TRIGGER * max(1.0, max(plus[-1], minus[-1]) - min(plus[0], minus[0]))
@@ -296,7 +287,6 @@ def band_structure(d: DiscriminantData) -> BandStructure:
         total_band_measure=math.fsum(b.length for b in bands),
         min_gap=min_gap,
         closed_gap_flags=flags,
-        floquet_eigenvalues=d.floquet_eigenvalues,
     )
 
 

@@ -49,12 +49,14 @@ class PeriodicCoefficients:
 class ScalarSummary:
     """Scalars computed directly from one period of coefficients.
 
-    geom_mean_a        geometric mean of the off-diagonal entries
-    diag_spread        max(b) - min(b)
-    gershgorin_lo/hi   endpoints of the Gershgorin enclosure of the spectrum
-    gershgorin_spread  max of the two one-sided Gershgorin/diagonal spreads
+    log_offdiag_product  log of the product of the off-diagonal entries
+    geom_mean_a          geometric mean of the off-diagonal entries
+    diag_spread          max(b) - min(b)
+    gershgorin_lo/hi     endpoints of the Gershgorin enclosure of the spectrum
+    gershgorin_spread    max of the two one-sided Gershgorin/diagonal spreads
     """
 
+    log_offdiag_product: float
     geom_mean_a: float
     min_a: float
     max_a: float
@@ -89,11 +91,12 @@ def new_periodic(a, b) -> PeriodicCoefficients:
 def scalar_summary(c: PeriodicCoefficients) -> ScalarSummary:
     """Compute all scalar invariants of one period.
 
-    The geometric mean is evaluated in log space so that very long periods
-    neither overflow nor underflow.
+    The off-diagonal product is kept as its log, summed once, so that very
+    long periods neither overflow nor underflow; the geometric mean is
+    taken from it.
     """
     p = c.p
-    geom = math.exp(math.fsum(math.log(x) for x in c.a) / p)
+    log_product = math.fsum(math.log(x) for x in c.a)
     # Gershgorin rows: b[n] +/- (a[n] + a[n-1]) with the wrap a[-1] = a[p-1].
     lo_rows = [c.b[n] - c.a[n] - c.a[n - 1] for n in range(p)]
     hi_rows = [c.b[n] + c.a[n] + c.a[n - 1] for n in range(p)]
@@ -101,7 +104,8 @@ def scalar_summary(c: PeriodicCoefficients) -> ScalarSummary:
     g_hi = max(hi_rows)
     spread = max(max(hi_rows) - min(c.b), max(c.b) - min(lo_rows))
     return ScalarSummary(
-        geom_mean_a=geom,
+        log_offdiag_product=log_product,
+        geom_mean_a=math.exp(log_product / p),
         min_a=min(c.a),
         max_a=max(c.a),
         diag_spread=max(c.b) - min(c.b),
@@ -109,11 +113,6 @@ def scalar_summary(c: PeriodicCoefficients) -> ScalarSummary:
         gershgorin_hi=g_hi,
         gershgorin_spread=spread,
     )
-
-
-def offdiag_product(c: PeriodicCoefficients) -> float:
-    """Product of the off-diagonal entries over one period, via log space."""
-    return math.exp(math.fsum(math.log(x) for x in c.a))
 
 
 def load_operator(path) -> PeriodicCoefficients:

@@ -18,10 +18,9 @@ Three float evaluators run the product. `eval_discriminant` gives D and
 edge solves and the edge values of `potential` call these.
 `eval_discriminant_bounded` repeats the same float operations in the
 same order, so its value is the same bit for bit, and adds a running
-forward-error bound. Only the callers that read a bound call it: the
-knot check of `build_discriminant`, whose bounds the touch decision of
-`bands.band_structure` reads as well, and the steep-edge certificate of
-`potential._crossing_certified`.
+forward-error bound. Only the callers that read a bound call it, and
+decide on the bare bound: the knot judgement of `build_discriminant` and
+the steep-edge certificate of `potential._crossing_certified`.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once to integer numerators over a
@@ -72,15 +71,15 @@ class DiscriminantData:
 
     floquet_eigenvalues is the (plus, minus) pair of `band_edges_oracle`.
     knots holds, per gap, the midpoint of its two eigenvalues of the
-    gap's sign; knot_values holds `eval_discriminant_bounded` at each, as
-    (value, error bound). summary is the operator's `scalar_summary`,
-    computed once for every stage.
+    gap's sign; knot_open holds, per knot, whether D there is beyond the
+    gap's target by more than its error bound, else it is undecided.
+    summary is the operator's `scalar_summary`, computed once for every stage.
     """
 
     coeffs: PeriodicCoefficients
     summary: ScalarSummary
     knots: tuple[float, ...]
-    knot_values: tuple[tuple[float, float], ...]
+    knot_open: tuple[bool, ...]
     floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
@@ -243,11 +242,13 @@ def gap_sign(p: int, j: int) -> int:
 
 
 def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
-    """Knots of the discriminant at the Floquet gap midpoints, checked against interlacing.
+    """Knots of the discriminant at the Floquet gap midpoints, each judged once on its error bound.
 
-    Knot j is the midpoint of gap j's two Floquet eigenvalues of its sign,
-    j - 1 and j (1-based). There the discriminant must have the sign
-    (-1)^(p-j) and |D| >= 2, each within the float error bound.
+    Knot j is the midpoint of gap j's two Floquet eigenvalues of its sign
+    s, j - 1 and j (1-based). Its bounded float value D, error bound err,
+    decides with no further margin: D beyond the target 2s by more than
+    err opens the gap, on the band side by more than err raises, and
+    within err leaves the knot to the exact decision `bands._touches`.
 
     Raises NonFiniteEntry when a field of the operator's `scalar_summary`
     or the sum of its Gershgorin ends (twice the midpoint where an edge
@@ -261,26 +262,29 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     for name, value in checked.items():
         if not math.isfinite(value):
             raise NonFiniteEntry(f"{name} = {value} is beyond the float range")
-    log_product = math.fsum(math.log(x) for x in c.a)
+    log_product = summary.log_offdiag_product
     if not _LOG_FLOAT_RANGE[0] <= log_product <= _LOG_FLOAT_RANGE[1]:
         raise NonFiniteEntry(f"off-diagonal product exp({log_product:.6g}) is beyond the float range")
     p = c.p
     plus, minus = eigenvalues = band_edges_oracle(c)
-    knots = []
+    knots, knot_open = [], []
     for j in range(1, p):
-        same = plus if gap_sign(p, j) > 0 else minus
-        knots.append(0.5 * (same[j - 1] + same[j]))
-    values = tuple(eval_discriminant_bounded(c, x) for x in knots)
-    for j, (x, (value, err)) in enumerate(zip(knots, values), start=1):
+        s = gap_sign(p, j)
+        same = plus if s > 0 else minus
+        x = 0.5 * (same[j - 1] + same[j])
+        value, err = eval_discriminant_bounded(c, x)
         if not (math.isfinite(value) and math.isfinite(err)):
             raise NonFiniteEntry(
                 f"D({x}) = {value} (error bound {err}) at knot {j} of {p - 1} is beyond the float range"
             )
-        s = gap_sign(p, j)
-        if s * value < 2.0 - (1e-9 + 4.0 * err):
+        beyond = s * (value - 2.0 * s)
+        if beyond < -err:
             raise PropertyViolation(
                 f"D({x}) = {value} at knot {j} of {p - 1}; expected sign {s:+.0f} and |D| >= 2"
             )
+        knots.append(x)
+        knot_open.append(beyond > err)
     return DiscriminantData(
-        coeffs=c, summary=summary, knots=tuple(knots), knot_values=values, floquet_eigenvalues=eigenvalues
+        coeffs=c, summary=summary, knots=tuple(knots), knot_open=tuple(knot_open),
+        floquet_eigenvalues=eigenvalues,
     )

@@ -24,7 +24,7 @@ from .errors import AlternationFailure, CapacityMismatch, ConfigInvalid, JacobiB
 # Bound by name only for the ("jacobibands.ensemble", "band_edges_oracle")
 # entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up:
 # build_discriminant calls the oracle once and run_trial reads its
-# eigenvalues off the BandStructure, so nothing here calls it.
+# eigenvalues off the DiscriminantData, so nothing here calls it.
 from .floquet import band_edges_oracle
 from .potential import PotentialReport, potential_report, potential_to_jsonable
 
@@ -137,7 +137,7 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
         return report
 
     disc_edges = sorted(bs.edges)
-    oracle_edges = sorted(bs.floquet_eigenvalues[0] + bs.floquet_eigenvalues[1])
+    oracle_edges = sorted(data.floquet_eigenvalues[0] + data.floquet_eigenvalues[1])
     discrepancy = max(abs(x - y) for x, y in zip(disc_edges, oracle_edges))
     report.oracle_max_discrepancy = discrepancy
     tol = ORACLE_MATCH_RTOL * max(1.0, bs.s)

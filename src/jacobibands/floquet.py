@@ -14,12 +14,12 @@ gaps, each edge solve starts at its eigenvalue, and a band beside an open
 gap whose two eigenvalues nearly coincide solves on the exact residual.
 So the knots, the seeds and the oracle comparison of `ensemble.run_trial`
 all rest on these eigenvalues, and a wrong one is caught by the sign of
-D: at a knot moved into a band the knot check or the exact touch
+D: at a knot moved into a band the knot judgement or the exact touch
 decision of `bands` fails, and otherwise the edges, solved as the roots
 of D = +/-2 between the knots, fail the oracle comparison. Set to 0,
 shifted by 1e-6 or eigenvalue k moved by 1e-3 * k, every one of the first
 300 seed-42 operators of each benchmark workload fails the discriminant
-or the oracle family first (the discriminant family in 81, 583 and 300
+or the oracle family first (the discriminant family in 300, 583 and 300
 of the 600), and none passes. A fault in the QL kernel shows the same
 way.
 """

@@ -20,6 +20,8 @@ numbers and checks what can fail:
 The extreme points number 2p - (closed gaps) = p + l, l the number of
 maximal intervals. The extremal set itself is checked, not returned: it
 is read off `BandStructure.bands`, `edge_labels` and `closed_gap_flags`.
+The off-diagonal product is the exponential of the summary's
+`log_offdiag_product`, summed once per operator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bands import ORACLE_MATCH_RTOL, BandStructure
-from .coefficients import offdiag_product
 from .discriminant import (
     DiscriminantData,
     eval_discriminant,
@@ -79,7 +80,7 @@ def _crossing_certified(d: DiscriminantData, x: float, target: int) -> bool:
     same two floats instead, each the sign of N - target * Q for the
     quotient D = N / Q of `scaled_trace_exact`. Sides that differ, by
     either test, certify the crossing. h widens by 8 from 1e-13
-    of |x| (at least 1e-15) until the signs differ, but stays at most
+    of max(1, |x|) until the signs differ, but stays at most
     `ORACLE_MATCH_RTOL` of the search interval, the start included: a
     crossing farther away belongs to another edge. A touching edge or a
     wrong one is not certified.
@@ -87,7 +88,7 @@ def _crossing_certified(d: DiscriminantData, x: float, target: int) -> bool:
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
     h_max = ORACLE_MATCH_RTOL * max(1.0, hi_bound - lo_bound)
-    h = min(max(1e-13 * max(1.0, abs(x)), 1e-15), h_max)
+    h = min(1e-13 * max(1.0, abs(x)), h_max)
     while h <= h_max:
         lo, hi = x - h, x + h
         (v_lo, e_lo), (v_hi, e_hi) = eval_discriminant_bounded(c, lo), eval_discriminant_bounded(c, hi)
@@ -133,7 +134,7 @@ def potential_report(d: DiscriminantData, bs: BandStructure) -> PotentialReport:
                     missing = (x, target, value)
             values.append(abs(value))
 
-    cheb = offdiag_product(c) * max(values)
+    cheb = math.exp(d.summary.log_offdiag_product) * max(values)
     # both edges of a spectrum below float resolution can round to one float, and cheb to 0
     cap = math.exp((math.log(cheb) - math.log(2.0)) / d.p) if cheb > 0.0 else 0.0
     geo = d.summary.geom_mean_a

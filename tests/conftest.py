@@ -70,6 +70,20 @@ def wide_range_operator(index):
     return a, b
 
 
+def sine_operator(p):
+    """a = 1 and b_k = 0.1 sin(2 pi k / p): shallow open gaps at every period."""
+    return new_periodic([1.0] * p, [0.1 * math.sin(2.0 * math.pi * k / p) for k in range(p)])
+
+
+def one_site_defect(index):
+    """The free operator of period 2..8 with one diagonal entry of size 1e-13..1e-5."""
+    rng = random.Random(f"one-site:{index}")
+    p = rng.randint(2, 8)
+    b = [0.0] * p
+    b[rng.randrange(p)] = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -5.0)
+    return [1.0] * p, b
+
+
 def floquet_matrix(c, sign):
     """The p x p Floquet matrix of c as a tuple of rows: sign +1 periodic, -1 antiperiodic.
 

@@ -31,9 +31,11 @@ from conftest import (
     fraction_discriminant,
     free_operator,
     numpy_edges,
+    one_site_defect,
     period2_operator,
     reference_critical_points,
     reference_discriminant,
+    sine_operator,
     wide_range_operator,
 )
 
@@ -214,11 +216,6 @@ def test_long_period_blocks_pass_every_family():
             assert abs(x - y) <= 1e-12 * max(1.0, bs.s), k
 
 
-def sine_operator(p):
-    """a = 1 and b_k = 0.1 sin(2 pi k / p): shallow open gaps at every period."""
-    return new_periodic([1.0] * p, [0.1 * math.sin(2.0 * math.pi * k / p) for k in range(p)])
-
-
 def test_each_edge_is_one_newton_solve_or_a_touching_knot(monkeypatch):
     # One Floquet call per trial at every period, made by
     # build_discriminant: the knots are its gap midpoints, band_structure
@@ -287,15 +284,6 @@ def test_sine_family_closed_gaps_are_the_zero_length_ones():
         bs = band_structure(build_discriminant(sine_operator(p)))
         for n, (gap, closed) in enumerate(zip(bs.gaps, bs.closed_gap_flags)):
             assert (gap.lo == gap.hi) == closed, (p, n, gap.length)
-
-
-def one_site_defect(index):
-    """The free operator of period 2..8 with one diagonal entry of size 1e-13..1e-5."""
-    rng = random.Random(f"one-site:{index}")
-    p = rng.randint(2, 8)
-    b = [0.0] * p
-    b[rng.randrange(p)] = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -5.0)
-    return [1.0] * p, b
 
 
 def test_one_site_defects_pass_every_family():
@@ -401,8 +389,17 @@ def test_corrupted_critical_points_raise():
     # The band solver cuts the line at the knots: a knot list of the wrong
     # length must not pass.
     d = build_discriminant(period2_operator())
-    broken = dataclasses.replace(d, knots=(), knot_values=())
+    broken = dataclasses.replace(d, knots=(), knot_open=())
     with pytest.raises(EdgeCountMismatch):
+        bands_fn(broken)
+
+
+def test_knots_out_of_order_raise():
+    # Knots in descending order make the pieces between them run
+    # backwards: the bands solved on them cross, a typed failure.
+    d = build_discriminant(new_periodic([1, 1, 1, 1], [0, 1, -1, 0.5]))
+    broken = dataclasses.replace(d, knots=d.knots[::-1], knot_open=d.knot_open[::-1])
+    with pytest.raises(EdgeCountMismatch, match="band 1 upper edge .* exceeds band 2 lower edge"):
         bands_fn(broken)
 
 
@@ -618,12 +615,8 @@ def test_exact_residual_beyond_the_float_range():
     assert bands_mod._exact_residual(c, 2, -1e3)[0] == -math.inf
 
 
-def test_exact_decisions_beyond_the_float_range(monkeypatch):
-    # The only seed-1 long-period operator whose knots reach the exact
-    # touch decision: two decisions and eight exact-residual evaluations,
-    # each quotient N / Q with Q past 2^3000. Every exact value equals the
-    # Fraction oracle, and each decision is its side of the gap's target.
-    c = sample_operator(P60, 1)
+def record_exact_work(monkeypatch):
+    """Record the exact quotients and touch decisions of `bands` as ([(t, (N, Q))], [(x, j, touching)])."""
     inner, inner_touches = bands_mod.scaled_trace_exact, bands_mod._touches
     quotients, decisions = [], []
 
@@ -637,15 +630,42 @@ def test_exact_decisions_beyond_the_float_range(monkeypatch):
 
     monkeypatch.setattr(bands_mod, "scaled_trace_exact", recorded)
     monkeypatch.setattr(bands_mod, "_touches", decided)
+    return quotients, decisions
+
+
+def test_exact_decisions_beyond_the_float_range(monkeypatch):
+    # P60 operator 1 was the only seed-1 long-period operator whose knots
+    # reached the exact touch decision, two of them. Judged on their error
+    # bound alone, both knots are open: it makes no decision, and its
+    # eight exact evaluations are the exact residual beside its flat gap,
+    # each quotient N / Q with Q past 2^3000.
+    c = sample_operator(P60, 1)
+    quotients, decisions = record_exact_work(monkeypatch)
     bs = band_structure(build_discriminant(c))
-    assert len(quotients) == 10 and len(decisions) == 2
+    assert len(quotients) == 8 and decisions == []
     for t, (n, q) in quotients:
         assert q > 2**3000 and Fraction(n, q) == fraction_discriminant(c, t)
-    for x, j, touching in decisions:
-        s = gap_sign(c.p, j)
-        assert touching == (s * (fraction_discriminant(c, x) - 2 * s) <= 0)
     for x, y in zip(bs.edges, numpy_edges(c)):
         assert abs(x - y) <= 1e-12 * max(1.0, bs.s)
+    # A p = 60 repeated block: the q = 4 block of the touching catalog's
+    # first operator, 15 times. Its 56 closed gaps are 56 exact decisions,
+    # each quotient with Q past 2^3142; every exact value equals the
+    # Fraction oracle, and each decision is its side of the gap's target.
+    a, b = blocks(0, 0, q_lo=3)
+    assert len(a) == 8 and a[:4] == a[4:]
+    c = new_periodic(a[:4] * 15, b[:4] * 15)
+    quotients.clear()
+    trial = run_trial(c)
+    assert trial.all_passed, {n: r.detail for n, r in trial.families.items() if not r.passed}
+    assert len(quotients) == len(decisions) == 56 == sum(trial.band_structure.closed_gap_flags)
+    for t, (n, q) in quotients:
+        assert q.bit_length() > 3142 and Fraction(n, q) == fraction_discriminant(c, t)
+    for x, j, touching in decisions:
+        s = gap_sign(c.p, j)
+        assert touching and s * (fraction_discriminant(c, x) - 2 * s) <= 0
+    bs = trial.band_structure
+    for x, y in zip(bs.edges, numpy_edges(c)):
+        assert abs(x - y) <= 1.2e-15 * bs.s
 
 
 def test_knot_across_a_band_is_a_typed_error():

@@ -13,7 +13,7 @@ from jacobibands import (
     parse_operator,
     scalar_summary,
 )
-from jacobibands.coefficients import load_operator, offdiag_product
+from jacobibands.coefficients import load_operator
 
 
 def test_new_periodic_accepts_valid_input():
@@ -131,7 +131,10 @@ def test_diagonal_shift_translates_gershgorin_only(ab, t):
 
 
 def test_offdiag_product():
-    assert offdiag_product(new_periodic([2, 3], [0, 0])) == pytest.approx(6.0, rel=1e-14)
+    # The summary carries the product as its log, summed once per operator.
+    s = scalar_summary(new_periodic([2, 3], [0, 0]))
+    assert math.exp(s.log_offdiag_product) == pytest.approx(6.0, rel=1e-14)
+    assert s.geom_mean_a == math.exp(s.log_offdiag_product / 2)
 
 
 def test_operator_json_roundtrip(tmp_path):

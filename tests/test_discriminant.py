@@ -29,10 +29,12 @@ from conftest import (
     blocks,
     fraction_discriminant,
     free_operator,
+    numpy_edges,
     period2_operator,
     reference_critical_points,
     reference_discriminant,
     reference_transfer_matrix,
+    sine_operator,
     six_multiply_trace,
     wide_range_operator,
 )
@@ -73,19 +75,21 @@ def test_transfer_matrix_wraps_first_site():
 def test_single_site_discriminant_is_linear():
     c = new_periodic([1.0], [0.0])
     d = build_discriminant(c)
-    assert d.knots == () and d.knot_values == ()
+    assert d.knots == () and d.knot_open == ()
     for t in (-3.0, 0.0, 0.5, Fraction(7, 3)):
         assert eval_discriminant_exact(c, t) == t
 
 
 def test_period2_closed_form():
     # D(t) = t^2 - 2t - 2, so D = -2 at 0 and 2, and the knot of the one
-    # gap is their midpoint 1, the critical point, where D = -3.
+    # gap is their midpoint 1, the critical point, where D = -3: beyond
+    # the gap's target -2 by more than the error bound, so the knot is open.
     c = period2_operator()
     d = build_discriminant(c)
     assert d.floquet_eigenvalues[1] == pytest.approx((0.0, 2.0), abs=1e-15)
     assert d.knots == (1.0,)
-    assert d.knot_values[0][0] == -3.0
+    assert eval_discriminant_bounded(c, 1.0)[0] == -3.0
+    assert d.knot_open == (True,)
     for t in (-2, -0.5, 0, 1, Fraction(5, 3)):
         t = Fraction(t)
         assert eval_discriminant_exact(c, t) == t * t - 2 * t - 2
@@ -175,8 +179,9 @@ def test_exact_evaluator_is_consistent():
             exact = float(eval_discriminant_exact(c, t))
             value, err = eval_discriminant_bounded(c, t)
             assert abs(value - exact) <= err + 1e-12 * (1 + abs(exact))
-    # potential certifies steep edges from the bound at x +/- h, so there it
-    # must hold with no slack: at every Floquet eigenvalue x and at x +/- h
+    # potential certifies steep edges from the bound at x +/- h, and
+    # build_discriminant judges each knot on it, so there it must hold with
+    # no slack: at every Floquet eigenvalue x, at x +/- h and at every knot.
     ops = [sample_operator(EnsembleConfig(seed=42), k) for k in range(300)]
     for p in (24, 40, 60):
         ops += [sample_operator(EnsembleConfig(seed=1, p_min=p, p_max=p), k) for k in range(3)]
@@ -185,12 +190,21 @@ def test_exact_evaluator_is_consistent():
     for c in ops:
         plus, minus = band_edges_oracle(c)
         for x in plus + minus:
-            h = max(1e-13 * max(1.0, abs(x)), 1e-15)
+            h = 1e-13 * max(1.0, abs(x))
             for t in (x - h, x, x + h):
                 value, err = eval_discriminant_bounded(c, t)
                 assert abs(Fraction(value) - eval_discriminant_exact(c, t)) <= Fraction(err), (c, t)
                 points += 1
     assert points > 12_000
+    ops += [new_periodic(*blocks(0, k, q_lo=3)) for k in range(300)]
+    ops += [sine_operator(p) for p in range(2, 41)]
+    knots = 0
+    for c in ops:
+        for x in build_discriminant(c).knots:
+            value, err = eval_discriminant_bounded(c, x)
+            assert abs(Fraction(value) - eval_discriminant_exact(c, x)) <= Fraction(err), (c, x)
+            knots += 1
+    assert knots == 5582
 
 
 def test_exact_quotient_decides_sides_against_int_targets():
@@ -300,18 +314,20 @@ def test_slope_evaluation_matches_the_expansion():
             assert abs(slope - derivative(t)) <= 1e-9 * max(1.0, abs(slope))
 
 
-def test_dirichlet_knots_interlace():
+def test_floquet_knots_lie_in_their_gaps():
     # Knot j, the midpoint of gap j's two Floquet eigenvalues of its sign,
-    # lies in the closure of the j-th gap: D has the sign (-1)^(p-j)
-    # there, with |D| >= 2.
+    # lies inside the j-th gap as numpy places it: between band j's upper
+    # edge and band j + 1's lower edge. Every gap of these is open, and
+    # so is every knot.
     cfg = EnsembleConfig(trials=30, seed=12)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
         d = build_discriminant(c)
-        assert len(d.knots) == len(d.knot_values) == c.p - 1
-        assert list(d.knots) == sorted(d.knots)
-        for j, (value, err) in enumerate(d.knot_values, start=1):
-            assert (-1) ** (c.p - j) * value >= 2.0 - 4.0 * err - 1e-9
+        assert len(d.knots) == len(d.knot_open) == c.p - 1
+        edges = numpy_edges(c)
+        for j, x in enumerate(d.knots, start=1):
+            assert edges[2 * j - 1] < x < edges[2 * j], (k, j)
+        assert all(d.knot_open), k
 
 
 def test_knots_outside_their_gaps_raise(monkeypatch):

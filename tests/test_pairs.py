@@ -68,7 +68,16 @@ def test_gain_fails_inside_the_parents_interquartile_range():
 
 
 def test_one_pair_summarizes_without_spread():
+    # one pair summarizes, but holds no gain: fewer than ten pairs never do
     (rate,) = pairs.summarize(canned_pairs([1000], [1100]), DECLARED[:1])
     assert rate["parent"] == (1000, 1000, 1000)
-    assert (rate["wins"], rate["holds"]) == (1, True)
+    assert (rate["wins"], rate["holds"]) == (1, False)
     assert len(pairs.format_rows([rate])) == 2
+
+
+def test_gain_fails_on_fewer_than_ten_pairs():
+    # the change wins both pairs, by far more than the parent's spread
+    (rate,) = pairs.summarize(canned_pairs([1000, 1010], [1500, 1510]), DECLARED[:1])
+    assert rate["wins"] == rate["pairs"] == 2
+    assert rate["change"][1] - rate["parent"][1] > rate["parent"][2] - rate["parent"][0]
+    assert not rate["holds"]

@@ -10,10 +10,11 @@ run writes its own ``perfbench/out/`` in its checkout.
 
 Per end-to-end metric of the change's ``BENCHMARK.json`` it prints each
 side's median and quartiles, the pairs the change wins, and whether the
-gain holds: the change wins at least 9 pairs in 10, and its median beats
-the parent's by more than the parent's interquartile range. A run whose
-last line is not a result, or that failed operations, is reported and
-stops the script with exit status 1.
+gain holds: over at least 10 pairs, the change wins at least 9 in 10, and
+its median beats the parent's by more than the parent's interquartile
+range. Fewer pairs never hold a gain. A run whose last line is not a
+result, or that failed operations, is reported and stops the script with
+exit status 1.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# Fewer pairs than this hold no gain, however many the change wins.
+MIN_PAIRS = 10
 
 
 def parse_result(stdout: str) -> dict:
@@ -57,8 +61,9 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[dict
     a "name" and "better" ("higher" or "lower"). A row holds the metric's
     name, the parent's and the change's (q1, median, q3), the pairs the
     change wins (strictly better), the number of pairs, and holds: at
-    least 9 wins in 10 pairs and a median gap, in the better direction,
-    wider than the parent's interquartile range.
+    least `MIN_PAIRS` pairs, at least 9 wins in 10 of them and a median
+    gap, in the better direction, wider than the parent's interquartile
+    range.
     """
     rows = []
     for m in declared:
@@ -68,7 +73,7 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[dict
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         gap = sign * (cq[1] - pq[1])
-        holds = 10 * wins >= 9 * len(pairs) and gap > pq[2] - pq[0]
+        holds = len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs) and gap > pq[2] - pq[0]
         rows.append({"name": name, "parent": pq, "change": cq, "wins": wins, "pairs": len(pairs), "holds": holds})
     return rows
 
