@@ -54,12 +54,12 @@ from .errors import EdgeCountMismatch, NonConvergence, PropertyViolation
 from .discriminant import eval_discriminant_bounded
 from .floquet import band_edges_oracle
 
-# Edges match the Floquet eigenvalues to this times max(1, s) in the oracle
-# family of `ensemble.run_trial`; `potential._crossing_certified` certifies
-# a crossing no farther from an edge than this times max(1, search width).
+# Edges match the Floquet eigenvalues to this times s in the oracle family
+# of `ensemble.run_trial`; `potential._crossing_certified` certifies a
+# crossing no farther from an edge than this times the search width.
 ORACLE_MATCH_RTOL = 1e-8
 
-# Edges are solved to this times the width (at least 1) of the search interval.
+# Edges are solved to this times the width of the search interval.
 _EDGE_RTOL = 1e-12
 
 # Bound by name only for the ("jacobibands.bands", "eval_discriminant_stable")
@@ -239,7 +239,7 @@ def band_structure(d: DiscriminantData) -> BandStructure:
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
-    tol = _EDGE_RTOL * max(1.0, hi_bound - lo_bound)
+    tol = _EDGE_RTOL * (hi_bound - lo_bound)
 
     p = c.p
     plus, minus = d.floquet_eigenvalues
@@ -249,7 +249,7 @@ def band_structure(d: DiscriminantData) -> BandStructure:
         not is_open and _touches(c, x, j) for j, (x, is_open) in enumerate(zip(d.knots, d.knot_open), start=1)
     )
     knots = [(lo_bound, False), *zip(d.knots, flags), (hi_bound, False)]
-    cut = _FLAT_GAP_TRIGGER * max(1.0, max(plus[-1], minus[-1]) - min(plus[0], minus[0]))
+    cut = _FLAT_GAP_TRIGGER * (max(plus[-1], minus[-1]) - min(plus[0], minus[0]))
     flat = [False] * (p + 1)
     for j in range(1, p):
         same = plus if gap_sign(p, j) > 0 else minus

@@ -254,8 +254,8 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     or the sum of its Gershgorin ends (twice the midpoint where an edge
     solve starts) is not finite, the off-diagonal product leaves the
     normal float range, or a knot's value or error bound is not finite,
-    PropertyViolation at the first knot that fails, at every period, and
-    NonConvergence when the oracle's QL iterations do not converge.
+    PropertyViolation when the search interval is one float or a knot
+    fails, and NonConvergence when the oracle's QL does not converge.
     """
     summary = scalar_summary(c)
     checked = {**vars(summary), "gershgorin_lo + gershgorin_hi": summary.gershgorin_lo + summary.gershgorin_hi}
@@ -265,6 +265,9 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     log_product = summary.log_offdiag_product
     if not _LOG_FLOAT_RANGE[0] <= log_product <= _LOG_FLOAT_RANGE[1]:
         raise NonFiniteEntry(f"off-diagonal product exp({log_product:.6g}) is beyond the float range")
+    lo, hi = search_interval(summary)
+    if not lo < hi:
+        raise PropertyViolation(f"search interval [{lo}, {hi}] is one float: the spectrum is below float resolution")
     p = c.p
     plus, minus = eigenvalues = band_edges_oracle(c)
     knots, knot_open = [], []

@@ -140,7 +140,7 @@ def run_trial(c: PeriodicCoefficients) -> TrialReport:
     oracle_edges = sorted(data.floquet_eigenvalues[0] + data.floquet_eigenvalues[1])
     discrepancy = max(abs(x - y) for x, y in zip(disc_edges, oracle_edges))
     report.oracle_max_discrepancy = discrepancy
-    tol = ORACLE_MATCH_RTOL * max(1.0, bs.s)
+    tol = ORACLE_MATCH_RTOL * bs.s
     if discrepancy <= tol:
         report.families["oracle"] = FamilyResult(True)
     else:

@@ -79,15 +79,15 @@ def _crossing_certified(d: DiscriminantData, x: float, target: int) -> bool:
     where the bound cannot decide an end takes the exact signs at the
     same two floats instead, each the sign of N - target * Q for the
     quotient D = N / Q of `scaled_trace_exact`. Sides that differ, by
-    either test, certify the crossing. h widens by 8 from 1e-13
-    of max(1, |x|) until the signs differ, but stays at most
-    `ORACLE_MATCH_RTOL` of the search interval, the start included: a
-    crossing farther away belongs to another edge. A touching edge or a
-    wrong one is not certified.
+    either test, certify the crossing. h widens by 8 up to `ORACLE_MATCH_RTOL`
+    of the search width, the start included: a farther crossing belongs to
+    another edge. A touching edge or a wrong one is not certified.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
-    h_max = ORACLE_MATCH_RTOL * max(1.0, hi_bound - lo_bound)
+    h_max = ORACLE_MATCH_RTOL * (hi_bound - lo_bound)
+    # The start is position resolution, not operator scale, so it keeps its
+    # floor; moving it changes which certificates fall back to exact arithmetic.
     h = min(1e-13 * max(1.0, abs(x)), h_max)
     while h <= h_max:
         lo, hi = x - h, x + h

@@ -378,6 +378,33 @@ def test_corrupted_floquet_eigenvalues_pick_the_residual(corruption, monkeypatch
     assert_corrupted_floquet_trials_fail(monkeypatch, corruption, ops)
 
 
+def test_moved_edge_fails_a_family_below_unit_scale(monkeypatch):
+    # Every tolerance scales with the operator, so a wrong edge is caught
+    # at 2^-20 as at unit scale: the first edge solved in each trial,
+    # moved 1e-6 * s toward the middle of its piece, fails a family (the
+    # oracle comparison, in all 200). With the oracle tolerance and the
+    # certificate's h floored at an absolute 1e-8, 160 of them passed
+    # every family.
+    ops = [sample_operator(ACCEPTANCE_CONFIG, k).scaled(2.0**-20) for k in range(200)]
+    spans = [run_trial(c).band_structure.s for c in ops]
+    inner_solve = bands_mod._newton_edge
+    move = [0.0]
+
+    def solve(residual, lo, hi, rising, x, tol):
+        edge = inner_solve(residual, lo, hi, rising, x, tol)
+        step, move[0] = move[0], 0.0
+        return edge + step if edge < 0.5 * (lo + hi) else edge - step
+
+    monkeypatch.setattr(bands_mod, "_newton_edge", solve)
+    passed = []
+    for k, (c, s) in enumerate(zip(ops, spans)):
+        move[0] = 1e-6 * s
+        if run_trial(c).all_passed:
+            passed.append(k)
+        assert move[0] == 0.0, k
+    assert passed == []
+
+
 def test_newton_edge_exhausted_budget_raises(monkeypatch):
     # A residual with zero slope forces bisection, about 40 steps to 1e-12.
     monkeypatch.setattr(bands_mod, "_STEP_BUDGET", 5)

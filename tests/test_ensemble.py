@@ -14,6 +14,7 @@ from jacobibands import (
     CapacityMismatch,
     ConfigInvalid,
     NonFiniteEntry,
+    PropertyViolation,
     build_discriminant,
     ensemble,
     new_periodic,
@@ -259,15 +260,41 @@ def test_scales_beyond_the_float_range_fail_the_discriminant(a, b, quantity):
         build_discriminant(new_periodic(a, b))
 
 
+def assert_collapsed_interval_fails_the_discriminant(c):
+    """The padded Gershgorin interval of c rounds to one float: a typed failure naming it."""
+    t = run_trial(c)
+    assert not t.families["discriminant"].passed
+    assert "search interval" in t.families["discriminant"].detail
+    assert all(r.detail.startswith("skipped") for n, r in t.families.items() if n != "discriminant")
+    json.dumps(trial_to_jsonable(t))
+    with pytest.raises(PropertyViolation, match="is one float"):
+        build_discriminant(c)
+
+
 @pytest.mark.parametrize("b", [1e16, 1e17, 1e20, 1e100])
 @pytest.mark.parametrize("p", [1, 2])
 def test_spectra_below_float_resolution_fail_a_family(p, b):
-    # Every edge rounds to b, so s is 0.0, and at p = 1 the Chebyshev number
-    # is too; their logs in bounds and potential once escaped run_trial as
-    # ValueError.
-    t = run_trial(new_periodic([1.0] * p, [b] * p))
-    assert not t.all_passed
-    json.dumps(trial_to_jsonable(t))
+    # Every edge rounds to b. Their logs of s = 0.0 and, at p = 1, of the
+    # Chebyshev number once escaped run_trial as ValueError; with tolerances
+    # floored at 1, p = 1 at b = 1e16 failed the oracle family by 2.0, and
+    # without the floors the certificate's h stayed 0 at p = 1, b = 1e17,
+    # and run_trial never returned.
+    assert_collapsed_interval_fails_the_discriminant(new_periodic([1.0] * p, [b] * p))
+
+
+def test_spectrum_below_the_resolution_of_its_position_fails_the_discriminant():
+    # 1 +/- 6e-300 rounds to 1: with tolerances floored at 1 this passed the
+    # discriminant family and failed log_sum_lower only by accident.
+    assert_collapsed_interval_fails_the_discriminant(new_periodic([3e-300], [1.0]))
+
+
+def test_tiny_resolvable_spectrum_passes_every_family():
+    # An off-diagonal entry just above the smallest normal float: the
+    # search interval is about 9.4e-308 wide, and every tolerance scales
+    # down with it.
+    t = run_trial(new_periodic([2.3e-308], [0.0]))
+    assert t.all_passed, {n: r.detail for n, r in t.families.items() if not r.passed}
+    assert t.band_structure.s > 0.0
 
 
 def test_ensemble_aggregation_counts():

@@ -10,8 +10,8 @@ pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
 DECLARED = [
-    {"name": "trials_per_s", "better": "higher"},
-    {"name": "trial_ms_p50", "better": "lower"},
+    {"name": "trials_per_s", "better": "higher", "bound": 0.25},
+    {"name": "trial_ms_p50", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -81,3 +81,47 @@ def test_gain_fails_on_fewer_than_ten_pairs():
     assert rate["wins"] == rate["pairs"] == 2
     assert rate["change"][1] - rate["parent"][1] > rate["parent"][2] - rate["parent"][0]
     assert not rate["holds"]
+
+
+def verdicts(parent_rates, change_rates):
+    rows = pairs.summarize(canned_pairs(parent_rates, change_rates), DECLARED)
+    return {r["name"]: r["verdict"] for r in rows}
+
+
+def test_verdict_no_worse_within_the_bound():
+    # the parent's quartiles are 20 apart, inside 0.25 of its median, and
+    # the change trails it by 200: within the bound, in both directions
+    parent = [1000, 1010, 990, 1005, 995, 1020, 980, 1000, 1015, 985]
+    change = [x - 200 for x in parent]
+    assert verdicts(parent, change) == {"trials_per_s": "no worse", "trial_ms_p50": "no worse"}
+
+
+def test_verdict_worse_beyond_the_bound():
+    # a median 300 below the parent's 1000, beyond 0.25 of it; the latency
+    # median rises from 1.0 to 1.43, beyond 0.25 as well
+    parent = [1000, 1010, 990, 1005, 995, 1020, 980, 1000, 1015, 985]
+    change = [x - 300 for x in parent]
+    rows = {r["name"]: r for r in pairs.summarize(canned_pairs(parent, change), DECLARED)}
+    assert rows["trials_per_s"]["verdict"] == rows["trial_ms_p50"]["verdict"] == "worse"
+    line = pairs.format_rows(list(rows.values()))[1]
+    assert line.split()[-2:] == ["worse", "False"] and "no worse" not in line
+
+
+def test_verdict_unresolved_when_the_parents_spread_exceeds_the_bound():
+    # the parent's own runs spread 600-1400, an interquartile range of 800
+    # against an allowed 250, so no regression of the bound's size shows:
+    # neither a change 50 below it nor one far below reads as no worse
+    parent = [600, 1400] * 5
+    assert verdicts(parent, [x - 50 for x in parent])["trials_per_s"] == "unresolved"
+    assert verdicts(parent, [500] * 10)["trials_per_s"] == "unresolved"
+    # unless every change run beats every parent run
+    assert verdicts(parent, [1500] * 10) == {"trials_per_s": "no worse", "trial_ms_p50": "no worse"}
+    row = pairs.format_rows(pairs.summarize(canned_pairs(parent, [500] * 10), DECLARED[:1]))[1]
+    assert row.split()[-2:] == ["unresolved", "False"]
+
+
+def test_verdict_unresolved_on_fewer_than_ten_pairs():
+    # two pairs put the parent's quartiles 5 apart, which measures no
+    # spread: a change 300 below reads unresolved, not worse
+    assert verdicts([1000, 1010], [700, 710]) == {"trials_per_s": "unresolved", "trial_ms_p50": "unresolved"}
+    assert verdicts([1000, 1010], [1500, 1510])["trials_per_s"] == "no worse"

@@ -9,12 +9,18 @@ ones, so that a drift in the host's load falls on both sides alike. Each
 run writes its own ``perfbench/out/`` in its checkout.
 
 Per end-to-end metric of the change's ``BENCHMARK.json`` it prints each
-side's median and quartiles, the pairs the change wins, and whether the
-gain holds: over at least 10 pairs, the change wins at least 9 in 10, and
-its median beats the parent's by more than the parent's interquartile
-range. Fewer pairs never hold a gain. A run whose last line is not a
-result, or that failed operations, is reported and stops the script with
-exit status 1.
+side's median and quartiles, the pairs the change wins, the no-regression
+verdict against the metric's ``bound``, and whether the gain holds: over
+at least 10 pairs, the change wins at least 9 in 10, and its median beats
+the parent's by more than the parent's interquartile range. Fewer pairs
+never hold a gain. The verdict is "no worse" when every change run beats
+every parent run; otherwise "unresolved" when the parent's interquartile
+range exceeds bound * |parent median|, since runs of the same code then
+spread wider than the regression to detect, or when fewer than 10 pairs
+leave that spread unmeasured; otherwise "worse" when the change's median
+trails the parent's by more than bound * |parent median|, and "no worse"
+when it does not. A run whose last line is not a result, or that failed
+operations, is reported and stops the script with exit status 1.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Fewer pairs than this hold no gain, however many the change wins.
+# Fewer pairs than this hold no gain, however many the change wins, and
+# resolve no regression verdict.
 MIN_PAIRS = 10
 
 
@@ -58,12 +65,13 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[dict
     """One row per declared metric over (parent metrics, change metrics) pairs.
 
     declared is the ``end_to_end`` list of BENCHMARK.json: each entry has
-    a "name" and "better" ("higher" or "lower"). A row holds the metric's
-    name, the parent's and the change's (q1, median, q3), the pairs the
-    change wins (strictly better), the number of pairs, and holds: at
-    least `MIN_PAIRS` pairs, at least 9 wins in 10 of them and a median
-    gap, in the better direction, wider than the parent's interquartile
-    range.
+    a "name", "better" ("higher" or "lower") and a relative "bound". A row
+    holds the metric's name, the parent's and the change's (q1, median,
+    q3), the pairs the change wins (strictly better), the number of
+    pairs, the verdict ("no worse", "worse" or "unresolved", as the module
+    docstring states) and holds: at least `MIN_PAIRS` pairs, at least 9
+    wins in 10 of them and a median gap, in the better direction, wider
+    than the parent's interquartile range.
     """
     rows = []
     for m in declared:
@@ -73,16 +81,27 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[dict
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         gap = sign * (cq[1] - pq[1])
+        allowed = m["bound"] * abs(pq[1])
+        if min(sign * c for c in change) > max(sign * p for p in parent):
+            verdict = "no worse"
+        elif len(pairs) < MIN_PAIRS or pq[2] - pq[0] > allowed:
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if gap < -allowed else "no worse"
         holds = len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs) and gap > pq[2] - pq[0]
-        rows.append({"name": name, "parent": pq, "change": cq, "wins": wins, "pairs": len(pairs), "holds": holds})
+        rows.append({"name": name, "parent": pq, "change": cq, "wins": wins, "pairs": len(pairs),
+                     "verdict": verdict, "holds": holds})
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
-    out = [f"{'metric':<14} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30}  wins  gain holds"]
+    """The table: one header line, then one line per row, its last token the gain's holds (True or False)."""
+    out = [f"{'metric':<14} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30}  wins  "
+           f"{'verdict':<10} gain holds"]
     for r in rows:
         sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*r[k]) for k in ("parent", "change")]
-        out.append(f"{r['name']:<14} {sides[0]:>30} {sides[1]:>30}  {r['wins']:>2}/{r['pairs']:<2} {r['holds']}")
+        out.append(f"{r['name']:<14} {sides[0]:>30} {sides[1]:>30}  {r['wins']:>2}/{r['pairs']:<2} "
+                   f"{r['verdict']:<10} {r['holds']}")
     return out
 
 
