@@ -1,33 +1,35 @@
 """Band-gap structure as the preimage of [-2, 2] under the discriminant.
 
-The knots are the p - 1 Floquet gap midpoints of `build_discriminant`,
-one in the closure of each gap; with the two ends of the padded
-Gershgorin interval they cut the line into p pieces, each holding
-exactly one band. Interlacing fixes the sign of the discriminant at
-every knot and at both ends, so the signs of discriminant -/+ 2 at the
-ends of each piece are known without evaluating anything there; each
-changes sign on the piece exactly once. Each of the 2p edges is a Newton
-solve safeguarded by bisection inside that bracket, started at the
-Floquet eigenvalue of the edge (a seed outside the piece starts at its
-midpoint): the k-th solution of D = +/-2 in sorted order lies in the
-k-th piece, doubled solutions included. So the period alone labels every
-edge with its target (`BandStructure.edge_labels`). The eigenvalues also
-pick the residual: beside a flat gap, an open gap whose two eigenvalues
-nearly coincide and whose float crossings scatter by noise over slope, a
-band solves both edges once with D - target evaluated exactly, and their
-order is checked; elsewhere it solves in floats and stores its edges in
-ascending order. `build_discriminant` judged each knot on its error
-bound, and nothing here reads a float value at a knot: an open knot
-opens its gap, and an undecided one, within the bound of the gap's
-target +/-2, is decided by one exact rational evaluation, for both
-neighboring pieces: its sign alone, with no tolerance, tells a genuine
-touch (value on the target or on the band side) from an open gap,
-however shallow, and is the gap's closed flag: both edges of a closed
-gap are the knot. The same evaluation read against the opposite target
-catches a knot that lies across a band, in a gap of the other sign, and
-raises PropertyViolation there. The knots and the seeds come from the
-same eigenvalues, so a wrong eigenvalue fails a family: the knot
-judgement, this decision, or the oracle comparison of `ensemble.run_trial`.
+The knots are the p - 1 Floquet gap midpoints: knot j is the midpoint of
+gap j's two Floquet eigenvalues of its sign, from the pair that
+`build_discriminant` carries, one in the closure of each gap; with the
+two ends of the padded Gershgorin interval they cut the line into p
+pieces, each holding exactly one band. Interlacing fixes the sign of the
+discriminant at every knot and at both ends, so the signs of
+discriminant -/+ 2 at the ends of each piece are known without
+evaluating anything there; each changes sign on the piece exactly once.
+Each of the 2p edges is a Newton solve safeguarded by bisection inside
+that bracket, started at the Floquet eigenvalue of the edge (a seed
+outside the piece starts at its midpoint): the k-th solution of
+D = +/-2 in sorted order lies in the k-th piece, doubled solutions
+included. So the period alone labels every edge with its target
+(`BandStructure.edge_labels`). The eigenvalues also pick the residual:
+beside a flat gap, an open gap whose two eigenvalues nearly coincide and
+whose float crossings scatter by noise over slope, a band solves both
+edges once with D - target evaluated exactly, and their order is
+checked; elsewhere it solves in floats and stores its edges in ascending
+order. One function, `_touches`, judges each knot, for both neighboring
+pieces: its bounded float value beyond the gap's target +/-2 by more
+than the error bound opens the gap, on the band side by more raises,
+and within the bound one exact rational evaluation decides: its sign
+alone, with no tolerance, tells a genuine touch (value on the target or
+on the band side) from an open gap, however shallow, and is the gap's
+closed flag: both edges of a closed gap are the knot. The same
+evaluation read against the opposite target catches a knot that lies
+across a band, in a gap of the other sign, and raises PropertyViolation
+there. The knots and the seeds come from the same eigenvalues, so a
+wrong eigenvalue fails a family: this judgement or the oracle
+comparison of `ensemble.run_trial`.
 """
 
 from __future__ import annotations
@@ -40,18 +42,17 @@ from functools import partial
 from .discriminant import (
     DiscriminantData,
     eval_discriminant_and_slope,
+    eval_discriminant_bounded,
     gap_sign,
     scaled_trace_exact,
     search_interval,
 )
-from .errors import EdgeCountMismatch, NonConvergence, PropertyViolation
+from .errors import EdgeCountMismatch, NonConvergence, NonFiniteEntry, PropertyViolation
 
-# Bound by name only for the ("jacobibands.bands", "band_edges_oracle") and
-# ("jacobibands.bands", "eval_discriminant_bounded") entries of
-# perfbench/tracing.py TARGETS, which `Tracer.install` looks up:
-# build_discriminant calls both, and this module reads their results off
-# the DiscriminantData, so nothing here calls them.
-from .discriminant import eval_discriminant_bounded
+# Bound by name only for the ("jacobibands.bands", "band_edges_oracle")
+# entry of perfbench/tracing.py TARGETS, which `Tracer.install` looks up:
+# build_discriminant calls the oracle, and this module reads its
+# eigenvalues off the DiscriminantData, so nothing here calls it.
 from .floquet import band_edges_oracle
 
 # Edges match the Floquet eigenvalues to this times s in the oracle family
@@ -139,19 +140,31 @@ class BandStructure:
 
 
 def _touches(c, x, j):
-    """Exact arbitration at knot x of gap j, whose float value is within its error bound of the target.
+    """Whether knot x of gap j touches: the one judgement of a knot.
 
-    One exact quotient D(x) = N / Q is read against both targets of the
-    gap's sign s. A value at the gap's target 2s or on the band side
-    means a touching point (the knot, the midpoint of a double Floquet
+    Its bounded float value D, error bound err, decides with no further
+    margin against the gap's target 2s, s its sign: D beyond 2s by more
+    than err opens the gap, on the band side by more than err raises
+    PropertyViolation, and a value or bound that is not finite raises
+    NonFiniteEntry. Within err one exact quotient D(x) = N / Q decides,
+    read against both targets. A value at 2s or on the band side means a
+    touching point (the knot, the midpoint of a double Floquet
     eigenvalue, carries position error at the eigenvalues' float
     accuracy, which moves its value only at second order, toward the
     band). A value strictly beyond 2s, however slightly, means an open
     gap. A value strictly beyond the opposite target -2s puts the knot in
     a gap of the other sign, across a band from its own: PropertyViolation.
     """
-    s = gap_sign(c.p, j)
+    p, s = c.p, gap_sign(c.p, j)
     target = 2 * s
+    value, err = eval_discriminant_bounded(c, x)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NonFiniteEntry(f"D({x}) = {value} (error bound {err}) at knot {j} of {p - 1} is beyond the float range")
+    beyond = s * (value - target)
+    if beyond < -err:
+        raise PropertyViolation(f"D({x}) = {value} at knot {j} of {p - 1}; expected sign {s:+.0f} and |D| >= 2")
+    if beyond > err:
+        return False
     n, q = scaled_trace_exact(c, x)
     if s * (n + target * q) < 0:
         raise PropertyViolation(f"knot {x} of gap {j} lies across a band: exact D is beyond {-target:+d}")
@@ -229,13 +242,15 @@ def band_structure(d: DiscriminantData) -> BandStructure:
 
     Edges are refined to absolute accuracy `_EDGE_RTOL` times the width of
     the search interval. Exactly p bands are always returned. A gap is
-    closed exactly when its knot touches: `build_discriminant` left the
-    knot undecided, within its error bound of the target, and `_touches`,
-    an exact sign with no tolerance, decides so. It then appears as a
-    zero-length gap, both edges the knot, never as merged bands. The Floquet eigenvalues the knots were built from seed
-    every edge solve and pick its residual: gap j's edges are eigenvalues
-    j - 1 and j of its sign, and a band beside a flat gap solves on
-    `_exact_residual` and raises EdgeCountMismatch if inverted.
+    closed exactly when `_touches` finds its knot touching: its float
+    value within its error bound of the target, and an exact sign with
+    no tolerance on the target or the band side. It then appears as a
+    zero-length gap, both edges the knot, never as merged bands. The
+    Floquet eigenvalues the knots are built from seed every edge solve
+    and pick its residual: gap j's edges are eigenvalues j - 1 and j of
+    its sign, and a band beside a flat gap solves on `_exact_residual`
+    and raises EdgeCountMismatch if inverted. Raises EdgeCountMismatch
+    too when there are not p eigenvalues of each sign.
     """
     c = d.coeffs
     lo_bound, hi_bound = search_interval(d.summary)
@@ -243,17 +258,19 @@ def band_structure(d: DiscriminantData) -> BandStructure:
 
     p = c.p
     plus, minus = d.floquet_eigenvalues
-    if len(d.knots) != p - 1 or len(d.knot_open) != p - 1:
-        raise EdgeCountMismatch(f"{len(d.knots)} knots for period {p}; expected {p - 1}")
-    flags = tuple(
-        not is_open and _touches(c, x, j) for j, (x, is_open) in enumerate(zip(d.knots, d.knot_open), start=1)
-    )
-    knots = [(lo_bound, False), *zip(d.knots, flags), (hi_bound, False)]
+    if not len(plus) == len(minus) == p:
+        raise EdgeCountMismatch(f"{len(plus)} and {len(minus)} Floquet eigenvalues for period {p}; expected {p} each")
     cut = _FLAT_GAP_TRIGGER * (max(plus[-1], minus[-1]) - min(plus[0], minus[0]))
+    knots = [(lo_bound, False)]
     flat = [False] * (p + 1)
     for j in range(1, p):
         same = plus if gap_sign(p, j) > 0 else minus
-        flat[j] = not flags[j - 1] and same[j] - same[j - 1] < cut
+        x = 0.5 * (same[j - 1] + same[j])
+        touch = _touches(c, x, j)
+        knots.append((x, touch))
+        flat[j] = not touch and same[j] - same[j - 1] < cut
+    knots.append((hi_bound, False))
+    flags = tuple(touch for _, touch in knots[1:-1])
     bands: list[Interval] = []
     for n in range(p):
         # By interlacing D has the sign -up at knot n and up at knot n + 1,

@@ -11,8 +11,8 @@ rhs = +inf is always satisfied.
 `evaluate_all_bounds(data, bs)` evaluates all thirteen records of one
 operator, from the coefficients and the scalar summary that
 `build_discriminant` carries on `DiscriminantData` and the band data of
-`band_structure`. `report_to_jsonable` serializes them, with the band
-summary block computed from the same `BandStructure`.
+`band_structure`. `report_to_jsonable(data, bs, report)` serializes them
+with the operator, its scalars and the band summary of that `BandStructure`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .bands import BandStructure
-from .coefficients import PeriodicCoefficients, ScalarSummary
+from .coefficients import ScalarSummary
 from .discriminant import _LOG_FLOAT_RANGE, DiscriminantData
 from .errors import ConfigInvalid
 
@@ -47,9 +47,6 @@ class BoundsReport:
     """All thirteen bound records for one operator."""
 
     records: tuple[BoundRecord, ...]
-    coefficients: PeriodicCoefficients
-    summary: ScalarSummary
-    band_structure: BandStructure
 
     def by_name(self, name: str) -> BoundRecord:
         for record in self.records:
@@ -274,7 +271,7 @@ def evaluate_all_bounds(
     records.append(_max_band_lower(p, summary, bs))
     records.append(_log_sum_upper(p, summary, bs, d_upper))
     records.append(_min_band_upper(p, summary, bs))
-    return BoundsReport(tuple(records), data.coeffs, summary, bs)
+    return BoundsReport(tuple(records))
 
 
 def encode_extended(x):
@@ -300,18 +297,18 @@ def record_to_jsonable(record: BoundRecord) -> dict:
     }
 
 
-def report_to_jsonable(report: BoundsReport) -> dict:
-    bs = report.band_structure
+def report_to_jsonable(data: DiscriminantData, bs: BandStructure, report: BoundsReport) -> dict:
+    c, summary = data.coeffs, data.summary
     return {
-        "operator": {"a": list(report.coefficients.a), "b": list(report.coefficients.b), "p": report.coefficients.p},
+        "operator": {"a": list(c.a), "b": list(c.b), "p": c.p},
         "scalars": {
-            "geom_mean_a": report.summary.geom_mean_a,
-            "min_a": report.summary.min_a,
-            "max_a": report.summary.max_a,
-            "diag_spread": report.summary.diag_spread,
-            "gershgorin_lo": report.summary.gershgorin_lo,
-            "gershgorin_hi": report.summary.gershgorin_hi,
-            "gershgorin_spread": report.summary.gershgorin_spread,
+            "geom_mean_a": summary.geom_mean_a,
+            "min_a": summary.min_a,
+            "max_a": summary.max_a,
+            "diag_spread": summary.diag_spread,
+            "gershgorin_lo": summary.gershgorin_lo,
+            "gershgorin_hi": summary.gershgorin_hi,
+            "gershgorin_spread": summary.gershgorin_spread,
         },
         "band_summary": {
             "s": bs.s,

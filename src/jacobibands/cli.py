@@ -72,7 +72,7 @@ def _cmd_analyze(args) -> int:
     _print_bounds_table(report.records)
 
     if args.report:
-        payload = report_to_jsonable(report)
+        payload = report_to_jsonable(data, bs, report)
         payload["potential"] = potential_to_jsonable(pot)
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

@@ -3,15 +3,16 @@
 The discriminant D is the trace of the one-period transfer-matrix
 product, a degree-p polynomial in the spectral parameter. The band
 pipeline never expands it: it evaluates D stably through the 2x2 matrix
-product, and takes its knots from the Floquet eigenvalues
+product. `build_discriminant` checks the operator's float range and
+carries its scalar summary and its Floquet eigenvalues
 (`floquet.band_edges_oracle`), the solutions of D = +2 and D = -2. The
 j-th gap runs between eigenvalues j - 1 and j of its sign, where D has
 the sign (-1)^(p-j) and |D| >= 2 (van Moerbeke, Invent. Math. 37, 1976),
-so their midpoint is a point of its closure, and the p - 1 midpoints cut
-the line into p pieces holding one band each. No stage expands D in the
-monomial basis, which is ill-conditioned from p of about 20 on. An exact
-rational evaluator backs up the float path where cancellation would
-otherwise dominate.
+so their midpoint is a point of its closure, and `bands` cuts the line
+at the p - 1 midpoints into p pieces holding one band each. No stage
+expands D in the monomial basis, which is ill-conditioned from p of
+about 20 on. An exact rational evaluator backs up the float path where
+cancellation would otherwise dominate.
 
 Three float evaluators run the product. `eval_discriminant` gives D and
 `eval_discriminant_and_slope` gives D and D' (forward mode); the Newton
@@ -19,8 +20,8 @@ edge solves and the edge values of `potential` call these.
 `eval_discriminant_bounded` repeats the same float operations in the
 same order, so its value is the same bit for bit, and adds a running
 forward-error bound. Only the callers that read a bound call it, and
-decide on the bare bound: the knot judgement of `build_discriminant` and
-the steep-edge certificate of `potential._crossing_certified`.
+decide on the bare bound: the knot judgement `bands._touches` and the
+steep-edge certificate of `potential._crossing_certified`.
 
 The exact evaluator works in integers. Every float coefficient is a dyadic
 rational, so one operator converts once to integer numerators over a
@@ -67,19 +68,15 @@ real_roots_in = None
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """The operator plus the knots that split its spectrum into bands.
+    """The operator plus the facts of it that every stage reads.
 
-    floquet_eigenvalues is the (plus, minus) pair of `band_edges_oracle`.
-    knots holds, per gap, the midpoint of its two eigenvalues of the
-    gap's sign; knot_open holds, per knot, whether D there is beyond the
-    gap's target by more than its error bound, else it is undecided.
-    summary is the operator's `scalar_summary`, computed once for every stage.
+    summary is the operator's `scalar_summary`, computed once for every
+    stage; floquet_eigenvalues is the (plus, minus) pair of
+    `band_edges_oracle`, from which `bands.band_structure` takes its knots.
     """
 
     coeffs: PeriodicCoefficients
     summary: ScalarSummary
-    knots: tuple[float, ...]
-    knot_open: tuple[bool, ...]
     floquet_eigenvalues: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
@@ -242,20 +239,14 @@ def gap_sign(p: int, j: int) -> int:
 
 
 def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
-    """Knots of the discriminant at the Floquet gap midpoints, each judged once on its error bound.
-
-    Knot j is the midpoint of gap j's two Floquet eigenvalues of its sign
-    s, j - 1 and j (1-based). Its bounded float value D, error bound err,
-    decides with no further margin: D beyond the target 2s by more than
-    err opens the gap, on the band side by more than err raises, and
-    within err leaves the knot to the exact decision `bands._touches`.
+    """The operator's scalar summary and Floquet eigenvalues, once its float range is checked.
 
     Raises NonFiniteEntry when a field of the operator's `scalar_summary`
     or the sum of its Gershgorin ends (twice the midpoint where an edge
-    solve starts) is not finite, the off-diagonal product leaves the
-    normal float range, or a knot's value or error bound is not finite,
-    PropertyViolation when the search interval is one float or a knot
-    fails, and NonConvergence when the oracle's QL does not converge.
+    solve starts) is not finite, or the off-diagonal product leaves the
+    normal float range, PropertyViolation when the search interval is one
+    float, and NonConvergence when the oracle's QL does not converge.
+    Knots are judged in `bands.band_structure`.
     """
     summary = scalar_summary(c)
     checked = {**vars(summary), "gershgorin_lo + gershgorin_hi": summary.gershgorin_lo + summary.gershgorin_hi}
@@ -268,26 +259,4 @@ def build_discriminant(c: PeriodicCoefficients) -> DiscriminantData:
     lo, hi = search_interval(summary)
     if not lo < hi:
         raise PropertyViolation(f"search interval [{lo}, {hi}] is one float: the spectrum is below float resolution")
-    p = c.p
-    plus, minus = eigenvalues = band_edges_oracle(c)
-    knots, knot_open = [], []
-    for j in range(1, p):
-        s = gap_sign(p, j)
-        same = plus if s > 0 else minus
-        x = 0.5 * (same[j - 1] + same[j])
-        value, err = eval_discriminant_bounded(c, x)
-        if not (math.isfinite(value) and math.isfinite(err)):
-            raise NonFiniteEntry(
-                f"D({x}) = {value} (error bound {err}) at knot {j} of {p - 1} is beyond the float range"
-            )
-        beyond = s * (value - 2.0 * s)
-        if beyond < -err:
-            raise PropertyViolation(
-                f"D({x}) = {value} at knot {j} of {p - 1}; expected sign {s:+.0f} and |D| >= 2"
-            )
-        knots.append(x)
-        knot_open.append(beyond > err)
-    return DiscriminantData(
-        coeffs=c, summary=summary, knots=tuple(knots), knot_open=tuple(knot_open),
-        floquet_eigenvalues=eigenvalues,
-    )
+    return DiscriminantData(coeffs=c, summary=summary, floquet_eigenvalues=band_edges_oracle(c))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from jacobibands import new_periodic
+from jacobibands.discriminant import gap_sign
 from jacobibands.ensemble import EnsembleConfig, run_ensemble
 
 # The same examples on every run, and no per-example deadline on shared hosts.
@@ -143,6 +144,14 @@ def reference_discriminant(c):
 def reference_critical_points(c):
     """The p - 1 critical points of D, sorted: numpy roots of the expansion's derivative."""
     return sorted(float(x.real) for x in reference_discriminant(c).deriv().roots())
+
+
+def floquet_knots(d):
+    """The knots `bands.band_structure` judges: per gap, the midpoint of its two Floquet eigenvalues of its sign."""
+    plus, minus = d.floquet_eigenvalues
+    return tuple(
+        0.5 * (same[j - 1] + same[j]) for j in range(1, d.p) for same in [plus if gap_sign(d.p, j) > 0 else minus]
+    )
 
 
 def fraction_discriminant(c, t):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,14 @@ from jacobibands import ensemble as ensemble_mod
 from jacobibands.bands import Interval, band_structure as bands_fn
 from jacobibands import floquet as floquet_mod
 from jacobibands.discriminant import eval_discriminant_bounded, gap_sign
-from jacobibands.ensemble import ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
+from jacobibands.ensemble import FAMILY_NAMES, ORACLE_MATCH_RTOL, EnsembleConfig, run_trial, sample_operator
 
 from conftest import (
     ACCEPTANCE_CONFIG,
     blocks,
     count_exact_calls,
     count_float_calls,
+    floquet_knots,
     fraction_discriminant,
     free_operator,
     numpy_edges,
@@ -342,7 +344,8 @@ def assert_corrupted_floquet_trials_fail(monkeypatch, corruption, ops):
     """run_trial of each operator with knots and seeds from corrupted Floquet eigenvalues.
 
     A corrupted oracle is a typed failure, never a silent pass: every
-    trial fails, the knot check or the oracle comparison first. Edges that
+    trial fails, the knot judgement of the bands family or the oracle
+    comparison first. Edges that
     passed the oracle comparison against corrupted eigenvalues would be
     off the true ones.
     """
@@ -352,13 +355,13 @@ def assert_corrupted_floquet_trials_fail(monkeypatch, corruption, ops):
     )
     for k, c in enumerate(ops):
         failed = [name for name, r in run_trial(c).families.items() if not r.passed]
-        assert failed and failed[0] in ("discriminant", "oracle"), (k, failed)
+        assert failed and failed[0] in ("bands", "oracle"), (k, failed)
 
 
 @pytest.mark.parametrize("corruption", ["shifted", "zero", "spread"])
 def test_corrupted_floquet_eigenvalues_keep_the_edges(corruption, monkeypatch):
     # The knots, the seeds and the oracle all come from the eigenvalues. A
-    # knot moved into a band fails the knot check; one still in its gap
+    # knot moved into a band fails the knot judgement; one still in its gap
     # keeps each open gap's edges, the one solution of D = +/-2 on its
     # piece, while a closed gap's edges are the moved knot; either way the
     # corrupted eigenvalues fail the oracle comparison.
@@ -413,20 +416,24 @@ def test_newton_edge_exhausted_budget_raises(monkeypatch):
 
 
 def test_corrupted_critical_points_raise():
-    # The band solver cuts the line at the knots: a knot list of the wrong
-    # length must not pass.
+    # The band solver cuts the line at knots taken from p Floquet
+    # eigenvalues of each sign: a list of the wrong length must not pass.
     d = build_discriminant(period2_operator())
-    broken = dataclasses.replace(d, knots=(), knot_open=())
-    with pytest.raises(EdgeCountMismatch):
+    broken = dataclasses.replace(d, floquet_eigenvalues=tuple(xs[:-1] for xs in d.floquet_eigenvalues))
+    with pytest.raises(EdgeCountMismatch, match="1 and 1 Floquet eigenvalues for period 2"):
         bands_fn(broken)
 
 
 def test_knots_out_of_order_raise():
-    # Knots in descending order make the pieces between them run
-    # backwards: the bands solved on them cross, a typed failure.
+    # The two halves of the minus eigenvalues swapped: gaps 1 and 3 share
+    # the sign -1, so each knot lands open in the other's gap, and knots in
+    # descending order make the pieces between them run backwards: the
+    # bands solved on them cross, a typed failure.
     d = build_discriminant(new_periodic([1, 1, 1, 1], [0, 1, -1, 0.5]))
-    broken = dataclasses.replace(d, knots=d.knots[::-1], knot_open=d.knot_open[::-1])
-    with pytest.raises(EdgeCountMismatch, match="band 1 upper edge .* exceeds band 2 lower edge"):
+    plus, minus = d.floquet_eigenvalues
+    broken = dataclasses.replace(d, floquet_eigenvalues=(plus, minus[2:] + minus[:2]))
+    assert floquet_knots(broken) == floquet_knots(d)[::-1]
+    with pytest.raises(EdgeCountMismatch, match="band 0 upper edge .* exceeds band 1 lower edge"):
         bands_fn(broken)
 
 
@@ -490,9 +497,9 @@ def test_one_exact_arbitration_per_closed_gap(monkeypatch):
 def test_touching_catalog_work_counts(monkeypatch):
     # The repeated blocks of the benchmark's touching workload. Per trial,
     # one Floquet call of two QL runs, where the Dirichlet knots cost a
-    # third; per knot one bounded evaluation, its check; per closed gap
-    # one exact quotient and no other evaluation, where the Dirichlet
-    # knot of a closed gap also took a bounded slope.
+    # third; per knot one judgement and one bounded evaluation in it; per
+    # closed gap one exact quotient and no other evaluation, where the
+    # Dirichlet knot of a closed gap also took a bounded slope.
     counts = {"oracle": 0, "ql": 0, "bounded": 0, "touches": 0}
 
     def counted(module, name, key):
@@ -506,7 +513,7 @@ def test_touching_catalog_work_counts(monkeypatch):
 
     counted(discriminant_mod, "band_edges_oracle", "oracle")
     counted(floquet_mod, "_implicit_ql", "ql")
-    counted(discriminant_mod, "eval_discriminant_bounded", "bounded")
+    counted(bands_mod, "eval_discriminant_bounded", "bounded")
     counted(bands_mod, "_touches", "touches")
     exact = count_exact_calls(monkeypatch, bands_mod)
     floats = count_float_calls(monkeypatch, bands_mod)
@@ -529,10 +536,9 @@ def test_touching_catalog_work_counts(monkeypatch):
         closed += sum(t.band_structure.closed_gap_flags)
     assert closed == 11987
     assert counts["oracle"] == 2000 and counts["ql"] == 2 * 2000
-    assert counts["bounded"] == knots
-    assert counts["touches"] == closed
+    assert counts["bounded"] == counts["touches"] == knots
     assert exact[0] == closed + residuals[bands_mod._exact_residual]
-    assert floats[0] == sum(residuals.values())
+    assert floats[0] == knots + sum(residuals.values())
 
 
 def test_period2_open_gap_edge_knot_is_exact():
@@ -540,7 +546,7 @@ def test_period2_open_gap_edge_knot_is_exact():
     # D = -2 exactly: strictly inside the gap, so neither piece mistakes
     # it for its own crossing.
     d = build_discriminant(period2_operator())
-    assert d.knots == (1.0,)
+    assert floquet_knots(d) == (1.0,)
     bs = band_structure(d)
     for x, y in zip(bs.edges, (1.0 - SQRT5, 0.0, 2.0, 1.0 + SQRT5)):
         assert abs(x - y) <= 1e-14
@@ -643,7 +649,10 @@ def test_exact_residual_beyond_the_float_range():
 
 
 def record_exact_work(monkeypatch):
-    """Record the exact quotients and touch decisions of `bands` as ([(t, (N, Q))], [(x, j, touching)])."""
+    """Record the exact quotients and exact touch decisions of `bands` as ([(t, (N, Q))], [(x, j, touching)]).
+
+    A knot judgement is an exact decision when it takes a quotient.
+    """
     inner, inner_touches = bands_mod.scaled_trace_exact, bands_mod._touches
     quotients, decisions = [], []
 
@@ -652,8 +661,11 @@ def record_exact_work(monkeypatch):
         return quotients[-1][1]
 
     def decided(c, x, j):
-        decisions.append((x, j, inner_touches(c, x, j)))
-        return decisions[-1][2]
+        before = len(quotients)
+        touching = inner_touches(c, x, j)
+        if len(quotients) > before:
+            decisions.append((x, j, touching))
+        return touching
 
     monkeypatch.setattr(bands_mod, "scaled_trace_exact", recorded)
     monkeypatch.setattr(bands_mod, "_touches", decided)
@@ -695,18 +707,52 @@ def test_exact_decisions_beyond_the_float_range(monkeypatch):
         assert abs(x - y) <= 1.2e-15 * bs.s
 
 
-def test_knot_across_a_band_is_a_typed_error():
+def test_knot_across_a_band_is_a_typed_error(monkeypatch):
     # p = 3: gap 1 has sign +1 and gap 2 sign -1. At a point inside gap 2,
-    # D is beyond -2, the opposite target of gap 1: as gap 1's knot it lies
-    # across a band, as gap 2's it opens that gap. Inside a band it touches.
+    # D is beyond -2, the opposite target of gap 1. Its float value decides
+    # both: as gap 1's knot it raises, as gap 2's it opens that gap; inside
+    # a band it raises for either gap.
     c = new_periodic([1.0, 0.5, 2.0], [0.3, -1.0, 1.5])
     bs = band_structure(build_discriminant(c))
     inside_gap2 = 0.5 * (bs.gaps[1].lo + bs.gaps[1].hi)
+    inside_band1 = 0.5 * (bs.bands[1].lo + bs.bands[1].hi)
+    with pytest.raises(PropertyViolation, match=r"at knot 1 of 2; expected sign \+1 and \|D\| >= 2"):
+        bands_mod._touches(c, inside_gap2, 1)
+    assert not bands_mod._touches(c, inside_gap2, 2)
+    for j in (1, 2):
+        with pytest.raises(PropertyViolation, match=f"at knot {j} of 2; expected sign"):
+            bands_mod._touches(c, inside_band1, j)
+    # With the float value undecided the exact quotient decides: as gap
+    # 1's knot the point in gap 2 lies across a band, as gap 2's it opens
+    # that gap. Inside a band it touches.
+    monkeypatch.setattr(bands_mod, "eval_discriminant_bounded", lambda c, x: (0.0, 5.0))
     with pytest.raises(PropertyViolation, match=f"knot {inside_gap2} of gap 1 lies across a band"):
         bands_mod._touches(c, inside_gap2, 1)
     assert not bands_mod._touches(c, inside_gap2, 2)
-    inside_band1 = 0.5 * (bs.bands[1].lo + bs.bands[1].hi)
     assert bands_mod._touches(c, inside_band1, 1) and bands_mod._touches(c, inside_band1, 2)
+
+
+def test_a_misplaced_knot_fails_the_bands_family(monkeypatch):
+    # Both halves of the one knot judgement file under the bands family.
+    # Eigenvalues moved up by 2 put the knot in a band, D(3) = 1, and its
+    # float value decides; moved up by 4 put it across a band, D(5) = 13
+    # against the gap's target -2, and with its float bound undecided the
+    # exact quotient decides.
+    c = period2_operator()
+    inner = discriminant_mod.band_edges_oracle
+
+    def fails_bands_first(shift, detail):
+        monkeypatch.setattr(
+            discriminant_mod, "band_edges_oracle", lambda c: tuple(tuple(x + shift for x in xs) for xs in inner(c))
+        )
+        t = run_trial(c)
+        assert t.families["discriminant"].passed
+        assert re.match(detail, t.families["bands"].detail), t.families["bands"].detail
+        assert all(t.families[name].detail == "skipped: band extraction failed" for name in FAMILY_NAMES[2:])
+
+    fails_bands_first(2.0, r"D\(3\.0\) = 1\.0 at knot 1 of 1")
+    monkeypatch.setattr(bands_mod, "eval_discriminant_bounded", lambda c, x: (-2.0, 5.0))
+    fails_bands_first(4.0, r"knot 5\.0 of gap 1 lies across a band")
 
 
 def test_long_period_knots_pass_the_edge_families():

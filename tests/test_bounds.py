@@ -222,7 +222,8 @@ def test_chain_consistency_max_band_sandwich():
 
 
 def test_json_serialization_encodes_infinity():
-    payload = report_to_jsonable(bounds(free_operator(2)))
+    d, bs = pipeline(free_operator(2))
+    payload = report_to_jsonable(d, bs, evaluate_all_bounds(d, bs))
     assert len(payload["bounds"]) == 13
     upper = next(r for r in payload["bounds"] if r["name"] == "log_sum_upper")
     assert upper["condition_met"] is False

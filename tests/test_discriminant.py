@@ -11,6 +11,7 @@ from jacobibands import (
     new_periodic,
     scalar_summary,
 )
+from jacobibands import bands as bands_mod
 from jacobibands import discriminant as discriminant_mod
 from jacobibands.bands import band_structure
 from jacobibands.discriminant import (
@@ -27,6 +28,8 @@ from numpy.polynomial import Polynomial
 
 from conftest import (
     blocks,
+    count_exact_calls,
+    floquet_knots,
     fraction_discriminant,
     free_operator,
     numpy_edges,
@@ -75,21 +78,23 @@ def test_transfer_matrix_wraps_first_site():
 def test_single_site_discriminant_is_linear():
     c = new_periodic([1.0], [0.0])
     d = build_discriminant(c)
-    assert d.knots == () and d.knot_open == ()
+    assert floquet_knots(d) == () and band_structure(d).closed_gap_flags == ()
     for t in (-3.0, 0.0, 0.5, Fraction(7, 3)):
         assert eval_discriminant_exact(c, t) == t
 
 
-def test_period2_closed_form():
+def test_period2_closed_form(monkeypatch):
     # D(t) = t^2 - 2t - 2, so D = -2 at 0 and 2, and the knot of the one
     # gap is their midpoint 1, the critical point, where D = -3: beyond
-    # the gap's target -2 by more than the error bound, so the knot is open.
+    # the gap's target -2 by more than the error bound, so the knot is
+    # open with no exact evaluation.
     c = period2_operator()
     d = build_discriminant(c)
     assert d.floquet_eigenvalues[1] == pytest.approx((0.0, 2.0), abs=1e-15)
-    assert d.knots == (1.0,)
+    assert floquet_knots(d) == (1.0,)
     assert eval_discriminant_bounded(c, 1.0)[0] == -3.0
-    assert d.knot_open == (True,)
+    exact = count_exact_calls(monkeypatch, bands_mod)
+    assert band_structure(d).closed_gap_flags == (False,) and exact[0] == 0
     for t in (-2, -0.5, 0, 1, Fraction(5, 3)):
         t = Fraction(t)
         assert eval_discriminant_exact(c, t) == t * t - 2 * t - 2
@@ -180,7 +185,7 @@ def test_exact_evaluator_is_consistent():
             value, err = eval_discriminant_bounded(c, t)
             assert abs(value - exact) <= err + 1e-12 * (1 + abs(exact))
     # potential certifies steep edges from the bound at x +/- h, and
-    # build_discriminant judges each knot on it, so there it must hold with
+    # bands._touches judges each knot on it, so there it must hold with
     # no slack: at every Floquet eigenvalue x, at x +/- h and at every knot.
     ops = [sample_operator(EnsembleConfig(seed=42), k) for k in range(300)]
     for p in (24, 40, 60):
@@ -200,7 +205,7 @@ def test_exact_evaluator_is_consistent():
     ops += [sine_operator(p) for p in range(2, 41)]
     knots = 0
     for c in ops:
-        for x in build_discriminant(c).knots:
+        for x in floquet_knots(build_discriminant(c)):
             value, err = eval_discriminant_bounded(c, x)
             assert abs(Fraction(value) - eval_discriminant_exact(c, x)) <= Fraction(err), (c, x)
             knots += 1
@@ -314,30 +319,47 @@ def test_slope_evaluation_matches_the_expansion():
             assert abs(slope - derivative(t)) <= 1e-9 * max(1.0, abs(slope))
 
 
-def test_floquet_knots_lie_in_their_gaps():
+def test_floquet_knots_lie_in_their_gaps(monkeypatch):
     # Knot j, the midpoint of gap j's two Floquet eigenvalues of its sign,
     # lies inside the j-th gap as numpy places it: between band j's upper
-    # edge and band j + 1's lower edge. Every gap of these is open, and
-    # so is every knot.
+    # edge and band j + 1's lower edge. These are the knots band_structure
+    # judges. Every gap of these is open, and so is every knot, on its
+    # float bound alone: no judgement takes an exact quotient.
+    inner = bands_mod._touches
+    judged = []
+
+    def recorded(c, x, j):
+        judged.append(x)
+        return inner(c, x, j)
+
+    monkeypatch.setattr(bands_mod, "_touches", recorded)
+    exact = count_exact_calls(monkeypatch, bands_mod)
     cfg = EnsembleConfig(trials=30, seed=12)
     for k in range(cfg.trials):
         c = sample_operator(cfg, k)
         d = build_discriminant(c)
-        assert len(d.knots) == len(d.knot_open) == c.p - 1
+        knots = floquet_knots(d)
+        assert len(knots) == c.p - 1
         edges = numpy_edges(c)
-        for j, x in enumerate(d.knots, start=1):
+        for j, x in enumerate(knots, start=1):
             assert edges[2 * j - 1] < x < edges[2 * j], (k, j)
-        assert all(d.knot_open), k
+        judged.clear()
+        assert not any(band_structure(d).closed_gap_flags), k
+        assert tuple(judged) == knots, k
+    assert exact[0] == 0
 
 
 def test_knots_outside_their_gaps_raise(monkeypatch):
-    # Eigenvalues moved up by 2 put the knot in a band: D(3) = 1 for this operator.
+    # Eigenvalues moved up by 2 put the knot in a band: D(3) = 1 for this
+    # operator. build_discriminant only carries the eigenvalues; the band
+    # stage judges the knot.
     inner = discriminant_mod.band_edges_oracle
     monkeypatch.setattr(
         discriminant_mod, "band_edges_oracle", lambda c: tuple(tuple(x + 2.0 for x in xs) for xs in inner(c))
     )
+    d = build_discriminant(period2_operator())
     with pytest.raises(PropertyViolation, match=r"D\(3\.0\) = 1\.0 at knot 1 of 1"):
-        build_discriminant(period2_operator())
+        band_structure(d)
 
 
 def test_bound_free_evaluators_equal_the_bounded_ones():
@@ -357,6 +379,6 @@ def test_bound_free_evaluators_equal_the_bounded_ones():
         d = build_discriminant(c)
         lo, hi = search_interval(d.summary)
         grid = [lo + (hi - lo) * i / 16 for i in range(17)]
-        for t in grid + list(d.knots) + list(band_structure(d).edges):
+        for t in grid + list(floquet_knots(d)) + list(band_structure(d).edges):
             value = eval_discriminant(c, t)
             assert eval_discriminant_bounded(c, t)[0] == eval_discriminant_and_slope(c, t)[0] == value, (c, t)

@@ -15,6 +15,7 @@ from jacobibands import (
     ConfigInvalid,
     NonFiniteEntry,
     PropertyViolation,
+    band_structure,
     build_discriminant,
     ensemble,
     new_periodic,
@@ -241,9 +242,6 @@ BEYOND_FLOAT_RANGE = [
     ([1e200, 1e200], [0.0, 0.0], "off-diagonal product"),
     ([1.0, 1.0], [1e308, -1e308], "diag_spread"),
     ([1e-200, 1e-200], [0.0, 0.0], "off-diagonal product"),
-    # a_0 / a_1 = 1e600 overflows in the transfer product: the knot's value
-    # is -inf and its error bound nan
-    ([1e300, 1e-300], [0.0, 0.0], "at knot 1 of 1"),
     # the Gershgorin ends are finite, but the midpoint of an edge solve
     # overflowed, and Fraction(inf) raised OverflowError
     ([1.0], [1e308], "gershgorin_lo + gershgorin_hi = inf"),
@@ -258,6 +256,21 @@ def test_scales_beyond_the_float_range_fail_the_discriminant(a, b, quantity):
     assert all(r.detail.startswith("skipped") for n, r in t.families.items() if n != "discriminant")
     with pytest.raises(NonFiniteEntry, match=re.escape(quantity)):
         build_discriminant(new_periodic(a, b))
+
+
+def test_knot_beyond_the_float_range_fails_the_bands_family():
+    # a_0 / a_1 = 1e600 overflows in the transfer product: the knot's value
+    # is -inf and its error bound nan. The operator's own scales are in
+    # range, so the discriminant family passes and the knot judgement of
+    # the band stage raises.
+    c = new_periodic([1e300, 1e-300], [0.0, 0.0])
+    t = run_trial(c)
+    assert t.families["discriminant"].passed
+    assert not t.families["bands"].passed
+    assert "at knot 1 of 1 is beyond the float range" in t.families["bands"].detail
+    assert all(r.detail.startswith("skipped") for r in list(t.families.values())[2:])
+    with pytest.raises(NonFiniteEntry, match="at knot 1 of 1 is beyond the float range"):
+        band_structure(build_discriminant(c))
 
 
 def assert_collapsed_interval_fails_the_discriminant(c):

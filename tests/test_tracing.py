@@ -58,6 +58,32 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not unused
 
 
+def test_only_these_traced_globals_are_never_read():
+    # Globals bound only so that TARGETS can rebind them: neither their
+    # module reads the name nor another module the attribute, so their
+    # spans never open. A new one must be added here on purpose, and one
+    # that comes into use must leave.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    attributes = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = set()
+    for module, attr, _ in tracing_targets():
+        tree = trees[module.split(".")[-1]]
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if attr not in names | attributes:
+            unread.add(f"{module}.{attr}")
+    assert unread == {
+        "jacobibands.discriminant.real_roots_in",
+        "jacobibands.bands.eval_discriminant_stable",
+        "jacobibands.bands.band_edges_oracle",
+        "jacobibands.ensemble.band_edges_oracle",
+    }
+
+
 def _is_dataclass(cls):
     return any(
         getattr(dec, "id", None) == "dataclass" or getattr(getattr(dec, "func", None), "id", None) == "dataclass"
